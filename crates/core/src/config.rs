@@ -53,8 +53,10 @@ pub struct HadflConfig {
     /// handshake/bypass procedure (§III-D), in virtual seconds.
     pub handshake_timeout_secs: f64,
     /// Split devices into groups of at most this size (`None` = one
-    /// group). Intra-group sync runs every round; inter-group sync every
-    /// [`inter_group_every`](Self::inter_group_every) rounds.
+    /// group); every group must hold at least 2 devices. Intra-group sync
+    /// runs every round; inter-group sync every
+    /// [`inter_group_every`](Self::inter_group_every) rounds (see
+    /// [`crate::driver::run_hadfl`]).
     pub group_size: Option<usize>,
     /// Inter-group synchronization period, in intra-group rounds (≥ 1).
     pub inter_group_every: u32,

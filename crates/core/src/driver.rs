@@ -19,7 +19,9 @@ use crate::config::HadflConfig;
 use crate::coordinator::{LivenessMonitor, ModelManager, RuntimeSupervisor, StrategyGenerator};
 use crate::error::HadflError;
 use crate::gossip::run_partial_sync_instrumented;
+use crate::group::partition_groups;
 use crate::strategy::Strategy;
+use crate::topology::Ring;
 use crate::trace::{CommSummary, RoundRecord, Trace};
 use crate::workload::{BuiltWorkload, Workload};
 
@@ -123,7 +125,9 @@ impl SimOptions {
 /// claim can be checked on `trace.comm` alone.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HadflRun {
-    /// The per-round trace (training-phase communication only).
+    /// The per-round trace (training-phase communication only). It
+    /// evaluates group 0's latest merged model, which is the whole
+    /// cluster's in a one-group run.
     pub trace: Trace,
     /// Setup-phase communication: initial model dispatch and warm-up
     /// timing reports.
@@ -137,6 +141,9 @@ pub struct HadflRun {
     /// Devices bypassed by the fault-tolerance mechanism, per round
     /// (round index → bypassed devices), only rounds with bypasses.
     pub bypass_log: Vec<(usize, Vec<usize>)>,
+    /// Rounds at which the inter-group representative ring ran (always
+    /// empty in a one-group run).
+    pub inter_sync_rounds: Vec<usize>,
 }
 
 /// Runs the full HADFL workflow over a workload and returns the run.
@@ -148,11 +155,18 @@ pub struct HadflRun {
 /// non-blocking broadcast to the unselected, runtime version prediction →
 /// periodic model backup.
 ///
+/// With [`HadflConfig::group_size`] set, the devices are split by
+/// [`partition_groups`] and the selection/ring/broadcast step runs once
+/// per group every round; every [`HadflConfig::inter_group_every`]
+/// rounds a ring of one representative per group then averages the
+/// groups' models and each representative broadcasts the result into
+/// its group (paper §III-C, Fig. 2a).
+///
 /// # Errors
 ///
-/// Returns configuration errors for inconsistent options, substrate
-/// errors from training, and [`HadflError::ClusterDead`] if every device
-/// dies.
+/// Returns configuration errors for inconsistent options (including a
+/// group of fewer than 2 devices), substrate errors from training, and
+/// [`HadflError::ClusterDead`] if every device dies.
 ///
 /// # Example
 ///
@@ -194,12 +208,19 @@ pub fn run_hadfl_with_telemetry(
 ) -> Result<HadflRun, HadflError> {
     opts.validate()?;
     let k = opts.powers.len();
+    let groups = partition_groups(k, config.group_size.unwrap_or(k))?;
+    if groups.iter().any(|g| g.len() < 2) {
+        return Err(HadflError::InvalidConfig(
+            "every group needs at least 2 devices (adjust group_size)".into(),
+        ));
+    }
     let mut built = workload.build(k)?;
     let wire_bytes = opts.wire_model_bytes.unwrap_or(built.model_bytes);
     let compute = ComputeModel::new(opts.base_step_secs, &opts.powers)?.with_jitter(opts.jitter);
     let monitor = LivenessMonitor::new(opts.faults.clone());
     let master_rng = SeedStream::new(config.seed ^ 0xD21E_2E00);
     let mut device_rngs: Vec<SeedStream> = (0..k).map(|i| master_rng.fork(i as u64)).collect();
+    let mut rep_ring_rng = master_rng.fork(0xF00D);
 
     let mut setup_stats = NetStats::new();
     let mut train_stats = NetStats::new();
@@ -235,7 +256,14 @@ pub fn run_hadfl_with_telemetry(
         .map(|i| built.runtimes[i].steps_done as f64 + strategy.local_steps[i] as f64)
         .collect();
     let mut supervisor = RuntimeSupervisor::new(config.smoothing_alpha, &priors)?;
-    let mut generator = StrategyGenerator::new(config);
+    // One selection stream per group; group 0 draws the flat run's.
+    let mut generators: Vec<StrategyGenerator> = (0..groups.len())
+        .map(|gi| {
+            let mut cfg = config.clone();
+            cfg.seed ^= gi as u64 * 0x6209;
+            StrategyGenerator::new(&cfg)
+        })
+        .collect();
     let mut manager = opts.backup_every.map(ModelManager::new);
     for rt in &mut built.runtimes {
         rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
@@ -243,10 +271,70 @@ pub fn run_hadfl_with_telemetry(
 
     let mut trace = Trace::new("hadfl", k, wire_bytes);
     let mut bypass_log = Vec::new();
+    let mut inter_sync_rounds = Vec::new();
     let mut backups_taken = 0usize;
     let mut device_free: Vec<VirtualTime> = vec![warmup_end; k];
     let mut window_start = warmup_end;
-    let mut last_merged: Vec<f32> = built.runtimes[0].model.param_vector();
+    // Each group's latest merged model; the trace evaluates and the
+    // model manager backs up group 0's.
+    let mut group_merged: Vec<Vec<f32>> =
+        vec![built.runtimes[0].model.param_vector(); groups.len()];
+
+    // One partial synchronization at `at`; a ring with no survivor
+    // means the cluster died in `round`.
+    let model_bytes = built.model_bytes;
+    let sync_ring = |ring: &Ring,
+                     params: &BTreeMap<DeviceId, Vec<f32>>,
+                     weights: Option<&BTreeMap<DeviceId, f64>>,
+                     at: VirtualTime,
+                     stats: &mut NetStats,
+                     round: usize| {
+        run_partial_sync_instrumented(
+            ring,
+            params,
+            weights,
+            &opts.faults,
+            at,
+            &opts.link,
+            config.handshake_timeout_secs,
+            model_bytes,
+            wire_bytes,
+            stats,
+            tel,
+            round as u32,
+        )
+        .map_err(|e| match e {
+            HadflError::ClusterDead { .. } => HadflError::ClusterDead { round },
+            e => e,
+        })
+    };
+
+    // Non-blocking broadcast of a merged model: charged to the ledger,
+    // mirrored as a `param_sync` frame, blended into the receiver. The
+    // receiver keeps training; the sender does not wait either.
+    let broadcast = |built: &mut BuiltWorkload,
+                     stats: &mut NetStats,
+                     from: DeviceId,
+                     to: DeviceId,
+                     merged: &[f32],
+                     at: VirtualTime|
+     -> Result<(), HadflError> {
+        stats.record(Endpoint::Device(from), Endpoint::Device(to), wire_bytes);
+        tel.emit(
+            Duration::from_secs_f64(at.as_secs()),
+            EventKind::FrameSent {
+                src: from.index() as u32,
+                dst: to.index() as u32,
+                bytes: wire_bytes,
+                kind: "param_sync".to_string(),
+                lamport: 0, // analytical frame: nothing crossed a transport
+            },
+        );
+        let mut local = built.runtimes[to.index()].model.param_vector();
+        blend_params(&mut local, merged, config.blend_beta)?;
+        built.runtimes[to.index()].model.set_param_vector(&local)?;
+        Ok(())
+    };
 
     for round in 1..=opts.max_rounds {
         let window_end = window_start.after(window);
@@ -283,14 +371,25 @@ pub fn run_hadfl_with_telemetry(
             .map(|rt| rt.steps_done as f64)
             .collect();
 
-        // --- Coordinator: liveness at round start, plan, control traffic. ---
+        // --- Coordinator: liveness at round start. ---
         let available = monitor.available(k, window_start);
         if available.is_empty() {
             return Err(HadflError::ClusterDead { round });
         }
         let mut sync_end = window_end;
         let mut selected_indices: Vec<usize> = Vec::new();
-        if available.len() >= 2 {
+        let mut round_bypassed: Vec<usize> = Vec::new();
+        for (gi, generator) in generators.iter_mut().enumerate() {
+            let available: Vec<DeviceId> = groups[gi]
+                .iter()
+                .copied()
+                .filter(|&d| monitor.is_up(d, window_start))
+                .collect();
+            if available.len() < 2 {
+                continue;
+            }
+
+            // --- Plan and control traffic. ---
             let t_end = Duration::from_secs_f64(window_end.as_secs());
             let predicted = supervisor.predicted_versions();
             let predicted_avail: Vec<f64> =
@@ -372,36 +471,23 @@ pub fn run_hadfl_with_telemetry(
             } else {
                 None
             };
-            let outcome = match run_partial_sync_instrumented(
+            let outcome = sync_ring(
                 &plan.ring,
                 &params,
                 weights.as_ref(),
-                &opts.faults,
                 window_end,
-                &opts.link,
-                config.handshake_timeout_secs,
-                built.model_bytes,
-                wire_bytes,
                 &mut train_stats,
-                tel,
-                round as u32,
-            ) {
-                Ok(outcome) => outcome,
-                Err(HadflError::ClusterDead { .. }) => {
-                    return Err(HadflError::ClusterDead { round })
-                }
-                Err(e) => return Err(e),
-            };
-            if !outcome.bypassed.is_empty() {
-                bypass_log.push((round, outcome.bypassed.iter().map(|d| d.index()).collect()));
-            }
+                round,
+            )?;
+            round_bypassed.extend(outcome.bypassed.iter().map(|d| d.index()));
             for d in &outcome.participants {
                 built.runtimes[d.index()]
                     .model
                     .set_param_vector(&outcome.merged)?;
                 device_free[d.index()] = window_end.after(outcome.comm_secs);
             }
-            sync_end = window_end.after(outcome.comm_secs);
+            let group_sync_end = window_end.after(outcome.comm_secs);
+            sync_end = sync_end.max(group_sync_end);
 
             // --- Non-blocking broadcast to the unselected devices. ---
             let broadcaster = if outcome.participants.contains(&plan.broadcaster) {
@@ -410,29 +496,16 @@ pub fn run_hadfl_with_telemetry(
                 outcome.participants[0]
             };
             for u in &plan.unselected {
-                if !opts.faults.is_up(*u, window_end) {
-                    continue;
+                if opts.faults.is_up(*u, window_end) {
+                    broadcast(
+                        &mut built,
+                        &mut train_stats,
+                        broadcaster,
+                        *u,
+                        &outcome.merged,
+                        group_sync_end,
+                    )?;
                 }
-                train_stats.record(
-                    Endpoint::Device(broadcaster),
-                    Endpoint::Device(*u),
-                    wire_bytes,
-                );
-                tel.emit(
-                    Duration::from_secs_f64(sync_end.as_secs()),
-                    EventKind::FrameSent {
-                        src: broadcaster.index() as u32,
-                        dst: u.index() as u32,
-                        bytes: wire_bytes,
-                        kind: "param_sync".to_string(),
-                        lamport: 0, // analytical frame: nothing crossed a transport
-                    },
-                );
-                let mut local = built.runtimes[u.index()].model.param_vector();
-                blend_params(&mut local, &outcome.merged, config.blend_beta)?;
-                built.runtimes[u.index()].model.set_param_vector(&local)?;
-                // Non-blocking: the receiver keeps training; the sender
-                // does not wait either.
             }
             if config.reset_momentum_on_sync {
                 // Momentum accumulated against pre-merge parameters is
@@ -442,8 +515,82 @@ pub fn run_hadfl_with_telemetry(
                         .set_optimizer(LrSchedule::constant(config.lr), config.momentum);
                 }
             }
-            selected_indices = plan.selected.iter().map(|d| d.index()).collect();
-            last_merged = outcome.merged;
+            selected_indices.extend(plan.selected.iter().map(|d| d.index()));
+            group_merged[gi] = outcome.merged;
+        }
+
+        // --- Inter-group synchronization over the representatives. ---
+        if groups.len() >= 2 && round % config.inter_group_every as usize == 0 {
+            // The first live device of each group represents it; a group
+            // with no live device sits this sync out.
+            let reps: Vec<(usize, DeviceId)> = groups
+                .iter()
+                .enumerate()
+                .filter_map(|(gi, g)| {
+                    let rep = g.iter().find(|&&d| monitor.is_up(d, window_end))?;
+                    Some((gi, *rep))
+                })
+                .collect();
+            if reps.len() >= 2 {
+                let members: Vec<DeviceId> = reps.iter().map(|&(_, rep)| rep).collect();
+                let ring = Ring::random(&members, &mut rep_ring_rng)?;
+                let params: BTreeMap<DeviceId, Vec<f32>> = reps
+                    .iter()
+                    .map(|&(gi, rep)| (rep, group_merged[gi].clone()))
+                    .collect();
+                // Eq. (2) at group scope: a group weighs its total samples.
+                let weights = config.weight_by_samples.then(|| {
+                    reps.iter()
+                        .map(|&(gi, rep)| {
+                            let samples = groups[gi]
+                                .iter()
+                                .map(|d| built.runtimes[d.index()].shard_len() as f64)
+                                .sum::<f64>();
+                            (rep, samples)
+                        })
+                        .collect::<BTreeMap<_, _>>()
+                });
+                // The representatives carry their groups' merged models,
+                // so their ring starts once every group ring has finished.
+                let outcome = sync_ring(
+                    &ring,
+                    &params,
+                    weights.as_ref(),
+                    sync_end,
+                    &mut train_stats,
+                    round,
+                )?;
+                round_bypassed.extend(outcome.bypassed.iter().map(|d| d.index()));
+                sync_end = sync_end.after(outcome.comm_secs);
+                // Each surviving representative broadcasts the consensus
+                // into its own group.
+                for &(gi, rep) in &reps {
+                    if !outcome.participants.contains(&rep) {
+                        continue;
+                    }
+                    built.runtimes[rep.index()]
+                        .model
+                        .set_param_vector(&outcome.merged)?;
+                    device_free[rep.index()] = sync_end;
+                    for &d in &groups[gi] {
+                        if d != rep && opts.faults.is_up(d, window_end) {
+                            broadcast(
+                                &mut built,
+                                &mut train_stats,
+                                rep,
+                                d,
+                                &outcome.merged,
+                                sync_end,
+                            )?;
+                        }
+                    }
+                    group_merged[gi].clone_from(&outcome.merged);
+                }
+                inter_sync_rounds.push(round);
+            }
+        }
+        if !round_bypassed.is_empty() {
+            bypass_log.push((round, round_bypassed));
         }
         tel.emit(
             Duration::from_secs_f64(sync_end.as_secs()),
@@ -459,7 +606,7 @@ pub fn run_hadfl_with_telemetry(
 
         // --- Model backup. ---
         if let Some(mgr) = manager.as_mut() {
-            if mgr.maybe_backup(round, sync_end, &last_merged) {
+            if mgr.maybe_backup(round, sync_end, &group_merged[0]) {
                 backups_taken += 1;
                 // A random live device uploads the latest model.
                 let uploader = available[0];
@@ -472,7 +619,7 @@ pub fn run_hadfl_with_telemetry(
         let epoch_equiv = samples as f64 / built.train_size as f64;
         let done = epoch_equiv >= opts.epochs_total || round == opts.max_rounds;
         if round % opts.eval_every == 0 || done {
-            let metrics = built.evaluate_params(&last_merged)?;
+            let metrics = built.evaluate_params(&group_merged[0])?;
             let live_losses: Vec<f32> = round_losses.iter().flatten().copied().collect();
             let train_loss = if live_losses.is_empty() {
                 f32::NAN
@@ -504,17 +651,8 @@ pub fn run_hadfl_with_telemetry(
         backups_taken,
         strategy,
         bypass_log,
+        inter_sync_rounds,
     })
-}
-
-/// Convenience: builds a workload once and exposes it for schemes that
-/// need the raw pieces (used by the baselines crate and tests).
-///
-/// # Errors
-///
-/// Propagates workload-construction errors.
-pub fn build_workload(workload: &Workload, devices: usize) -> Result<BuiltWorkload, HadflError> {
-    workload.build(devices)
 }
 
 #[cfg(test)]

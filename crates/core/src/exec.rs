@@ -1525,7 +1525,7 @@ fn digest_opt_ring(out: &mut Vec<u8>, run: Option<&RingRun>) {
 /// Runs one device's protocol loop over `port` until the coordinator
 /// sends [`Message::Shutdown`]; the device then uploads its final
 /// parameters and returns. Timing comes from a fresh [`WallClock`];
-/// see [`run_device_with_clock`] for an injected clock.
+/// see [`run_device_instrumented`] for an injected clock.
 ///
 /// The loop trains one heterogeneity-aware local step at a time
 /// (sleeping `step_sleep` per step to emulate compute power), answers
@@ -1545,36 +1545,21 @@ pub fn run_device<P: Port>(
     step_sleep: Duration,
     timing: &ProtocolTiming,
 ) -> Result<(), HadflError> {
-    run_device_with_clock(port, rt, config, step_sleep, timing, &WallClock::new())
-}
-
-/// [`run_device`] with an injected [`Clock`] (deterministic tests).
-///
-/// # Errors
-///
-/// As [`run_device`].
-pub fn run_device_with_clock<P: Port>(
-    port: P,
-    rt: DeviceRuntime,
-    config: &HadflConfig,
-    step_sleep: Duration,
-    timing: &ProtocolTiming,
-    clock: &dyn Clock,
-) -> Result<(), HadflError> {
     run_device_instrumented(
         port,
         rt,
         config,
         step_sleep,
         timing,
-        clock,
+        &WallClock::new(),
         Telemetry::disabled(),
     )
 }
 
-/// [`run_device_with_clock`] with a telemetry handle: emits the device
-/// lifecycle, local-step batches, and ring events, all timestamped from
-/// `clock` so [`crate::clock::ManualClock`] runs are deterministic.
+/// [`run_device`] with an injected [`Clock`] and a telemetry handle:
+/// emits the device lifecycle, local-step batches, and ring events, all
+/// timestamped from `clock` so [`crate::clock::ManualClock`] runs are
+/// deterministic.
 ///
 /// # Errors
 ///
@@ -2169,7 +2154,7 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
 
 /// Runs the coordinator's protocol loop over `port` (see
 /// [`CoordinatorActor`] for the script). Timing comes from a fresh
-/// [`WallClock`]; see [`run_coordinator_with_clock`] for an injected
+/// [`WallClock`]; see [`run_coordinator_instrumented`] for an injected
 /// clock.
 ///
 /// # Errors
@@ -2183,37 +2168,21 @@ pub fn run_coordinator<P: Port>(
     rounds: usize,
     timing: &ProtocolTiming,
 ) -> Result<CoordinatorRun, HadflError> {
-    run_coordinator_with_clock(port, config, window, rounds, timing, &WallClock::new())
-}
-
-/// [`run_coordinator`] with an injected [`Clock`] (deterministic
-/// tests).
-///
-/// # Errors
-///
-/// As [`run_coordinator`].
-pub fn run_coordinator_with_clock<P: Port>(
-    port: P,
-    config: &HadflConfig,
-    window: Duration,
-    rounds: usize,
-    timing: &ProtocolTiming,
-    clock: &dyn Clock,
-) -> Result<CoordinatorRun, HadflError> {
     run_coordinator_instrumented(
         port,
         config,
         window,
         rounds,
         timing,
-        clock,
+        &WallClock::new(),
         Telemetry::disabled(),
     )
 }
 
-/// [`run_coordinator_with_clock`] with a telemetry handle: emits round
-/// plans with their Eq. (8) selection probabilities, Eq. (7)
-/// prediction-vs-actual versions, device drops, and round latencies.
+/// [`run_coordinator`] with an injected [`Clock`] and a telemetry
+/// handle: emits round plans with their Eq. (8) selection
+/// probabilities, Eq. (7) prediction-vs-actual versions, device drops,
+/// and round latencies.
 ///
 /// # Errors
 ///
@@ -3478,13 +3447,14 @@ mod tests {
                     }
                 });
             }
-            run_coordinator_with_clock(
+            run_coordinator_instrumented(
                 coordinator_port,
                 &config,
                 Duration::from_millis(50),
                 2,
                 &timing,
                 &clock,
+                Telemetry::disabled(),
             )
         })
         .unwrap();

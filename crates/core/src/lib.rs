@@ -19,7 +19,8 @@
 //! - **Fault tolerance** — dead ring members are detected by timeout,
 //!   confirmed by handshake, and bypassed ([`gossip`]).
 //! - **Grouping** — hierarchical intra-/inter-group synchronization for
-//!   larger clusters ([`group`]).
+//!   larger clusters: the same round run once per group ([`group`]), plus
+//!   a periodic ring of group representatives.
 //!
 //! The [`driver`] module wires everything into a deterministic
 //! virtual-time simulation (the paper itself emulates heterogeneity with

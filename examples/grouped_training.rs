@@ -4,8 +4,8 @@
 //!
 //! Run: `cargo run --release --example grouped_training`
 
-use hadfl::driver::SimOptions;
-use hadfl::group::run_hadfl_grouped;
+use hadfl::driver::{run_hadfl, SimOptions};
+use hadfl::group::partition_groups;
 use hadfl::{HadflConfig, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,15 +17,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut opts = SimOptions::quick(&[2.0, 2.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0]);
     opts.epochs_total = 10.0;
 
+    let group_size = 4;
     let config = HadflConfig::builder()
-        .group_size(Some(4))
+        .group_size(Some(group_size))
         .inter_group_every(2)
         .num_selected(2)
         .seed(11)
         .build()?;
 
-    let run = run_hadfl_grouped(&workload, &config, &opts)?;
-    println!("groups: {:?}", run.groups);
+    let groups: Vec<Vec<usize>> = partition_groups(opts.powers.len(), group_size)?
+        .iter()
+        .map(|g| g.iter().map(|d| d.index()).collect())
+        .collect();
+    let run = run_hadfl(&workload, &config, &opts)?;
+    println!("groups: {groups:?}");
     println!(
         "inter-group synchronizations fired at rounds {:?} (period 2)",
         run.inter_sync_rounds
@@ -38,8 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         last.time_secs
     );
     println!(
-        "server model traffic: {} bytes — fully decentralized at both tiers",
-        run.trace.comm.server_bytes
+        "server traffic: {} bytes of control frames, no model (one model is {} bytes) — \
+         decentralized at both tiers",
+        run.trace.comm.server_bytes, run.trace.model_bytes
     );
     Ok(())
 }
