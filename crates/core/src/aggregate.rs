@@ -72,6 +72,23 @@ pub fn average_params(params: &[&[f32]]) -> Result<Vec<f32>, HadflError> {
 pub fn accumulate_params(acc: &mut [f32], src: &[f32]) {
     assert_eq!(acc.len(), src.len(), "accumulate length mismatch");
     let _prof = hadfl_prof::scope_bytes("accumulate_params", 8 * acc.len() as u64);
+    add_into(acc, src);
+}
+
+/// Rejects an accumulation of `src_len` parameters into `acc_len`.
+pub(crate) fn check_accumulate(acc_len: usize, src_len: usize) -> Result<(), HadflError> {
+    if acc_len != src_len {
+        return Err(HadflError::InvalidConfig(format!(
+            "accumulate length mismatch: {acc_len} vs {src_len}"
+        )));
+    }
+    Ok(())
+}
+
+/// The kernel of [`accumulate_params`], with no length check and no
+/// profiler scope, so a caller walking a model tensor by tensor pays
+/// for one scope per operation, not one per tensor.
+pub(crate) fn add_into(acc: &mut [f32], src: &[f32]) {
     hadfl_par::par_chunks_mut(acc, hadfl_par::F32_CHUNK, |chunk, achunk| {
         let base = chunk * hadfl_par::F32_CHUNK;
         let schunk = &src[base..base + achunk.len()];
@@ -167,11 +184,21 @@ pub fn weighted_average_params(params: &[&[f32]], weights: &[f64]) -> Result<Vec
 /// Returns [`HadflError::InvalidConfig`] if the lengths differ or β is
 /// outside `[0, 1]`.
 pub fn blend_params(local: &mut [f32], incoming: &[f32], beta: f32) -> Result<(), HadflError> {
-    if local.len() != incoming.len() {
+    check_blend(local.len(), incoming.len(), beta)?;
+    let _prof = hadfl_prof::scope_bytes("blend_params", 8 * local.len() as u64);
+    blend_into(local, incoming, beta);
+    Ok(())
+}
+
+/// The argument checks of [`blend_params`], and its errors.
+pub(crate) fn check_blend(
+    local_len: usize,
+    incoming_len: usize,
+    beta: f32,
+) -> Result<(), HadflError> {
+    if local_len != incoming_len {
         return Err(HadflError::InvalidConfig(format!(
-            "blend length mismatch: {} vs {}",
-            local.len(),
-            incoming.len()
+            "blend length mismatch: {local_len} vs {incoming_len}"
         )));
     }
     if !(0.0..=1.0).contains(&beta) {
@@ -179,7 +206,12 @@ pub fn blend_params(local: &mut [f32], incoming: &[f32], beta: f32) -> Result<()
             "blend beta {beta} outside [0, 1]"
         )));
     }
-    let _prof = hadfl_prof::scope_bytes("blend_params", 8 * local.len() as u64);
+    Ok(())
+}
+
+/// The kernel of [`blend_params`], with no checks and no profiler
+/// scope (see [`add_into`]).
+pub(crate) fn blend_into(local: &mut [f32], incoming: &[f32], beta: f32) {
     hadfl_par::par_chunks_mut(local, hadfl_par::F32_CHUNK, |chunk, lchunk| {
         let base = chunk * hadfl_par::F32_CHUNK;
         let ichunk = &incoming[base..base + lchunk.len()];
@@ -187,7 +219,6 @@ pub fn blend_params(local: &mut [f32], incoming: &[f32], beta: f32) -> Result<()
             *l = beta * inc + (1.0 - beta) * *l;
         }
     });
-    Ok(())
 }
 
 /// The communication cost of one ring scatter-gather over `n` members

@@ -307,6 +307,36 @@ pub trait TrainState {
     /// Parameter version reported to the coordinator.
     fn version(&self) -> f64;
 
+    /// Adds the current parameters into `acc` elementwise — the ring's
+    /// reduce step. The default copies [`params`](Self::params) out;
+    /// [`DeviceRuntime`] reads its tensors in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HadflError::InvalidConfig`] when `acc` has a different
+    /// length; `acc` is then untouched.
+    fn accumulate_into(&self, acc: &mut [f32]) -> Result<(), HadflError> {
+        let mine = self.params();
+        crate::aggregate::check_accumulate(acc.len(), mine.len())?;
+        crate::aggregate::accumulate_params(acc, &mine);
+        Ok(())
+    }
+
+    /// Blends a broadcast model into the current parameters,
+    /// `p ← β·incoming + (1−β)·p`, as [`blend_params`] does. The default
+    /// copies the parameters out and back; [`DeviceRuntime`] updates its
+    /// tensors in place.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`blend_params`] (a length mismatch or `beta`
+    /// outside `[0, 1]`), with every parameter left untouched.
+    fn blend_from(&mut self, incoming: &[f32], beta: f32) -> Result<(), HadflError> {
+        let mut local = self.params();
+        blend_params(&mut local, incoming, beta)?;
+        self.set_params(&local)
+    }
+
     /// Canonical bytes of this state for model-checker deduplication.
     fn digest(&self, out: &mut Vec<u8>) {
         for p in self.params() {
@@ -333,6 +363,24 @@ impl TrainState for DeviceRuntime {
 
     fn version(&self) -> f64 {
         self.steps_done as f64
+    }
+
+    fn accumulate_into(&self, acc: &mut [f32]) -> Result<(), HadflError> {
+        crate::aggregate::check_accumulate(acc.len(), self.model.num_params())?;
+        let _prof = hadfl_prof::scope_bytes("accumulate_params", 8 * acc.len() as u64);
+        self.model.visit_param_slices(&mut |offset, p| {
+            crate::aggregate::add_into(&mut acc[offset..offset + p.len()], p);
+        });
+        Ok(())
+    }
+
+    fn blend_from(&mut self, incoming: &[f32], beta: f32) -> Result<(), HadflError> {
+        crate::aggregate::check_blend(self.model.num_params(), incoming.len(), beta)?;
+        let _prof = hadfl_prof::scope_bytes("blend_params", 8 * incoming.len() as u64);
+        self.model.visit_param_slices_mut(&mut |offset, p| {
+            crate::aggregate::blend_into(p, &incoming[offset..offset + p.len()], beta);
+        });
+        Ok(())
     }
 }
 
@@ -421,6 +469,19 @@ impl RingRun {
         self.live.iter().position(|&d| d == id)
     }
 
+    /// Whether `me` owes the unselected the round's merged model: it is
+    /// the broadcaster, or the first live member once the planned
+    /// broadcaster died (so the unselected still hear about the round),
+    /// and someone is unselected.
+    fn broadcasts(&self, me: usize) -> bool {
+        let effective = if self.live.contains(&self.broadcaster) {
+            self.broadcaster
+        } else {
+            self.live[0]
+        };
+        effective == me && !self.unselected.is_empty()
+    }
+
     // Invariant: `downstream`/`upstream` are only asked for members of
     // `live` — a member never removes *itself* from its own ring (the
     // in-ring BypassWarning handler ignores `dead == me`), and every
@@ -473,44 +534,62 @@ fn finish_reduce<P: Port, T: TrainState>(
             participants: hops,
         },
     );
-    if run.live.len() > 1 {
+    let kept = if run.live.len() > 1 {
         let downstream = run.downstream(me);
+        let ttl = (run.live.len() - 1) as u32;
+        let round = run.round;
         send_ring(
             port,
             run,
             downstream,
-            Message::MergedParams {
-                round: run.round,
-                ttl: (run.live.len() - 1) as u32,
-                params: params.clone(),
-            },
+            Message::MergedParams { round, ttl, params },
         );
-    }
-    broadcast_if_mine(port, run, me, &params);
+        None
+    } else {
+        Some(params)
+    };
+    broadcast_if_mine(port, run, me, kept.as_deref());
     Ok(())
 }
 
 /// Sends the merged model to every unselected device if `me` is (or has
-/// replaced) the broadcaster.
-fn broadcast_if_mine<P: Port>(port: &mut P, run: &RingRun, me: usize, params: &[f32]) {
-    // If the planned broadcaster died, the first live member inherits
-    // the role so the unselected still hear about the round.
-    let effective = if run.live.contains(&run.broadcaster) {
-        run.broadcaster
-    } else {
-        run.live[0]
-    };
-    if effective != me {
+/// replaced) the broadcaster. The model is `kept` when this member did
+/// not forward it round the ring; otherwise the forwarded frame in
+/// `run.last_sent` owns it and it is read from there, so the merged
+/// vector is never copied just to be kept. One [`Message::ParamSync`]
+/// is built and sent to every recipient.
+fn broadcast_if_mine<P: Port>(port: &mut P, run: &RingRun, me: usize, kept: Option<&[f32]>) {
+    if !run.broadcasts(me) {
         return;
     }
+    let params = match (kept, &run.last_sent) {
+        (Some(params), _) => params,
+        (None, Some((_, Message::MergedParams { params, .. }))) => params,
+        (None, _) => return,
+    };
+    let msg = Message::ParamSync {
+        round: run.round,
+        params: params.to_vec(),
+    };
     for &u in &run.unselected {
-        let _ = port.send(
-            u,
-            &Message::ParamSync {
-                round: run.round,
-                params: params.to_vec(),
-            },
-        );
+        let _ = port.send(u, &msg);
+    }
+}
+
+/// Re-sends the member's last frame to its new downstream if it was
+/// addressed to `dead`, moving the frame rather than copying it
+/// ([`send_ring`] records it again). Returns whether it re-sent.
+fn resend_if_sent_to<P: Port>(port: &mut P, run: &mut RingRun, me: usize, dead: usize) -> bool {
+    match run.last_sent.take() {
+        Some((to, msg)) if to == dead => {
+            let downstream = run.downstream(me);
+            send_ring(port, run, downstream, msg);
+            true
+        }
+        other => {
+            run.last_sent = other;
+            false
+        }
     }
 }
 
@@ -524,28 +603,24 @@ fn repair_after_bypass<P: Port, T: TrainState>(
     me: usize,
     dead: usize,
 ) {
-    match run.last_sent.clone() {
-        Some((to, msg)) if to == dead => {
-            let downstream = run.downstream(me);
-            send_ring(port, run, downstream, msg);
-        }
-        None if run.live[0] == me && !run.merged_done => {
-            // The origin died silent; its downstream (now first) starts
-            // the reduce.
-            run.contributed = true;
-            let downstream = run.downstream(me);
-            send_ring(
-                port,
-                run,
-                downstream,
-                Message::ParamAccum {
-                    round: run.round,
-                    hops: 1,
-                    params: train.params(),
-                },
-            );
-        }
-        _ => {}
+    if resend_if_sent_to(port, run, me, dead) {
+        return;
+    }
+    if run.last_sent.is_none() && run.live[0] == me && !run.merged_done {
+        // The origin died silent; its downstream (now first) starts the
+        // reduce.
+        run.contributed = true;
+        let downstream = run.downstream(me);
+        send_ring(
+            port,
+            run,
+            downstream,
+            Message::ParamAccum {
+                round: run.round,
+                hops: 1,
+                params: train.params(),
+            },
+        );
     }
 }
 
@@ -562,12 +637,7 @@ fn bypass_in_finished_ring<P: Port>(port: &mut P, run: &mut RingRun, me: usize, 
     if run.live.len() < 2 {
         return;
     }
-    if let Some((to, msg)) = run.last_sent.clone() {
-        if to == dead {
-            let downstream = run.downstream(me);
-            send_ring(port, run, downstream, msg);
-        }
-    }
+    resend_if_sent_to(port, run, me, dead);
 }
 
 /// Per-actor span bookkeeping for the causal timeline: a deterministic
@@ -1102,9 +1172,7 @@ impl<T: TrainState> DeviceActor<T> {
                 self.spans
                     .start(&self.tel, now, "broadcast_blend", 0, round, self.me);
                 let prof = hadfl_prof::scope("broadcast_blend");
-                let mut local = self.train.params();
-                blend_params(&mut local, &params, self.blend_beta)?;
-                self.train.set_params(&local)?;
+                self.train.blend_from(&params, self.blend_beta)?;
                 drop(prof);
                 self.spans.end(&self.tel, now, "broadcast_blend", self.me);
                 self.begin_training(now, round + 1);
@@ -1322,8 +1390,7 @@ impl<T: TrainState> DeviceActor<T> {
                 } else {
                     ring.run.contributed = true;
                     let prof = hadfl_prof::scope("ring_accumulate");
-                    let mine = self.train.params();
-                    crate::aggregate::accumulate_params(&mut params, &mine);
+                    self.train.accumulate_into(&mut params)?;
                     drop(prof);
                     let hops = hops + 1;
                     self.tel.emit(
@@ -1384,7 +1451,7 @@ impl<T: TrainState> DeviceActor<T> {
                 ring.probe = None;
                 self.train.set_params(&params)?;
                 ring.run.merged_done = true;
-                if ttl > 1 {
+                let kept = if ttl > 1 {
                     let downstream = ring.run.downstream(me);
                     let round = ring.run.round;
                     send_ring(
@@ -1394,25 +1461,21 @@ impl<T: TrainState> DeviceActor<T> {
                         Message::MergedParams {
                             round,
                             ttl: ttl - 1,
-                            params: params.clone(),
+                            params,
                         },
                     );
-                }
+                    None
+                } else {
+                    Some(params)
+                };
                 // The effective broadcaster's fan-out to the unselected
                 // is the round's `broadcast_blend` segment.
-                let effective = if ring.run.live.contains(&ring.run.broadcaster) {
-                    ring.run.broadcaster
-                } else {
-                    ring.run.live[0]
-                };
-                if effective == me && !ring.run.unselected.is_empty() {
+                if ring.run.broadcasts(me) {
                     let parent = self.spans.ring_parent();
                     self.spans
                         .start(&self.tel, now, "broadcast_blend", parent, round, me);
-                    broadcast_if_mine(port, &ring.run, me, &params);
+                    broadcast_if_mine(port, &ring.run, me, kept.as_deref());
                     self.spans.end(&self.tel, now, "broadcast_blend", me);
-                } else {
-                    broadcast_if_mine(port, &ring.run, me, &params);
                 }
             }
             Message::Handshake { from } => {
@@ -3465,5 +3528,97 @@ mod tests {
             clock.now() >= Duration::from_millis(100),
             "windows must have advanced the virtual clock"
         );
+    }
+
+    /// A [`DeviceRuntime`] seen through the trait's default bodies: the
+    /// copy path (`params()` → aggregate helper → `set_params`).
+    struct CopyPath(DeviceRuntime);
+
+    impl TrainState for CopyPath {
+        fn params(&self) -> Vec<f32> {
+            self.0.params()
+        }
+        fn set_params(&mut self, params: &[f32]) -> Result<(), HadflError> {
+            self.0.set_params(params)
+        }
+        fn train_step(&mut self) -> Result<(), HadflError> {
+            self.0.train_step()
+        }
+        fn version(&self) -> f64 {
+            self.0.version()
+        }
+    }
+
+    /// Two identical runtimes, a step into training so every tensor
+    /// (batch-norm scales included) has moved off its initial value.
+    fn runtime_pair(model: &str) -> (DeviceRuntime, CopyPath) {
+        let make = || {
+            let mut rt = Workload::quick(model, 71)
+                .build(2)
+                .unwrap()
+                .runtimes
+                .remove(0);
+            rt.train_steps(1).unwrap();
+            rt
+        };
+        (make(), CopyPath(make()))
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn incoming(n: usize) -> Vec<f32> {
+        (0..n).map(|i| (i as f32 * 0.618).sin() * 3.0).collect()
+    }
+
+    #[test]
+    fn in_place_accumulate_and_blend_equal_the_copy_path() {
+        for model in ["mlp", "resnet18_lite"] {
+            let (mut fast, mut copy) = runtime_pair(model);
+            assert_eq!(bits(&fast.params()), bits(&copy.params()));
+            let other = incoming(fast.params().len());
+
+            let mut got = other.clone();
+            fast.accumulate_into(&mut got).unwrap();
+            let mut want = other.clone();
+            copy.accumulate_into(&mut want).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{model} accumulate");
+
+            for beta in [0.0, 0.3, 1.0] {
+                fast.blend_from(&other, beta).unwrap();
+                copy.blend_from(&other, beta).unwrap();
+                assert_eq!(
+                    bits(&fast.params()),
+                    bits(&copy.params()),
+                    "{model} blend beta {beta}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_rejections_match_the_copy_path_and_touch_nothing() {
+        for model in ["mlp", "resnet18_lite"] {
+            let (mut fast, mut copy) = runtime_pair(model);
+            let before = bits(&fast.params());
+            let n = before.len();
+
+            let mut short = incoming(n - 1);
+            let short_bits = bits(&short);
+            let err = fast.accumulate_into(&mut short).unwrap_err();
+            assert_eq!(Err(err), copy.accumulate_into(&mut short));
+            assert_eq!(bits(&short), short_bits, "{model}: acc untouched");
+
+            let cases = [(incoming(n - 1), 0.5), (incoming(n + 1), 0.5)];
+            let betas = [-0.1, 1.5, f32::NAN].map(|beta| (incoming(n), beta));
+            for (other, beta) in cases.into_iter().chain(betas) {
+                let err = fast.blend_from(&other, beta).unwrap_err();
+                let mut local = copy.params();
+                assert_eq!(Err(err.clone()), blend_params(&mut local, &other, beta));
+                assert_eq!(Err(err), copy.blend_from(&other, beta));
+                assert_eq!(bits(&fast.params()), before, "{model}: params untouched");
+            }
+        }
     }
 }

@@ -41,6 +41,11 @@ pub struct CausalStamp {
 /// Seals `msg` into a transport frame: a [`STAMP_LEN`]-byte stamp
 /// header (origin u32 LE, lamport u64 LE) followed by the message
 /// encoding. The inverse is [`open`].
+///
+/// The frame is allocated once, at its exact final size, and the
+/// parameter payload is written into it with one memcpy; freezing it
+/// into [`Bytes`] moves the buffer rather than copying it
+/// (`crates/core/tests/wire_alloc.rs` pins both).
 pub fn seal(stamp: CausalStamp, msg: &Message) -> Bytes {
     let mut buf = BytesMut::with_capacity(STAMP_LEN + msg.encoded_len());
     buf.put_u32_le(stamp.origin);

@@ -6,7 +6,9 @@
 //! send (with bounded exponential backoff, so nodes can start in any
 //! order), identifies itself with [`Message::Hello`], and keeps the
 //! socket for the rest of the run. The accepting side spawns one reader
-//! per inbound connection.
+//! per inbound connection. The reader reads each length prefix and body
+//! into one buffer per connection, reused across frames, and resumes a
+//! partial read after a read timeout instead of restarting it.
 //!
 //! Liveness is tracked two ways: a heartbeat ticker stamps every open
 //! outbound connection at a configurable interval, and every inbound
@@ -479,70 +481,60 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
+/// Reads from `stream` until `buf` is full. A read timeout is not an
+/// error: the read resumes where it stopped, so a frame that arrives in
+/// pieces across several timeouts is still assembled whole. Returns
+/// `false` when the peer closed or failed the connection, or the port
+/// shut down while waiting.
+fn read_full(stream: &mut TcpStream, buf: &mut [u8], shutdown: &AtomicBool) -> bool {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) => return false,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                if shutdown.load(Ordering::SeqCst) {
+                    return false;
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+    true
+}
+
 fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(shared.opts.read_timeout));
     // The connection is anonymous until its Hello arrives.
     let mut from: Option<usize> = None;
-    // A frame mid-read when the timeout fires must resume, not restart:
-    // buffer the partial read.
-    let mut pending: Vec<u8> = Vec::new();
-    let mut want: Option<usize> = None;
+    // One body buffer per connection, reused for every frame: it grows
+    // to the largest frame seen and is neither shrunk nor re-zeroed.
+    let mut body: Vec<u8> = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        // Phase 1: length prefix.
-        if want.is_none() {
-            let mut len_buf = [0u8; 4];
-            if pending.len() < 4 {
-                let mut byte = [0u8; 1];
-                match stream.read(&mut byte) {
-                    Ok(0) => return,
-                    // A non-zero read into a one-byte buffer is one byte.
-                    Ok(_) => {
-                        pending.push(byte[0]);
-                        continue;
-                    }
-                    Err(e)
-                        if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-                    {
-                        continue;
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => return,
-                }
-            }
-            len_buf.copy_from_slice(&pending[..4]);
-            pending.clear();
-            let len = u32::from_le_bytes(len_buf);
-            if len > shared.opts.max_frame_bytes {
-                return; // corrupt or hostile peer: drop the connection
-            }
-            want = Some(len as usize);
+        let mut prefix = [0u8; 4];
+        if !read_full(&mut stream, &mut prefix, &shared.shutdown) {
+            return;
         }
-        // Phase 2: frame body. Phase 1 always leaves `want` set; the
-        // `else` arm is dead but keeps the hot loop panic-free.
-        let Some(need) = want else { continue };
-        while pending.len() < need {
-            let mut chunk = vec![0u8; (need - pending.len()).min(64 << 10)];
-            match stream.read(&mut chunk) {
-                Ok(0) => return,
-                Ok(n) => pending.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
+        let len = u32::from_le_bytes(prefix);
+        if len > shared.opts.max_frame_bytes {
+            return; // corrupt or hostile peer: drop the connection
         }
-        let frame = std::mem::take(&mut pending);
-        want = None;
+        let len = len as usize;
+        if body.len() < len {
+            body.resize(len, 0);
+        }
+        let frame = &mut body[..len];
+        if !read_full(&mut stream, frame, &shared.shutdown) {
+            return;
+        }
         shared
             .raw_bytes
             .fetch_add(4 + frame.len() as u64, Ordering::Relaxed);
-        let (stamp, msg) = match wire::open(&frame) {
+        let (stamp, msg) = match wire::open(frame) {
             Ok(opened) => opened,
             Err(_) => return, // undecodable peer: drop the connection
         };

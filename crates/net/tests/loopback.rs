@@ -571,6 +571,137 @@ fn oversized_frames_are_rejected() {
     );
 }
 
+/// A raw peer for the reader tests: a plain socket that writes
+/// `wire::seal`ed frames behind their length prefix, with no `TcpPort`
+/// machinery in between.
+struct RawPeer {
+    stream: std::net::TcpStream,
+    lamport: u64,
+}
+
+impl RawPeer {
+    fn connect(addr: std::net::SocketAddr) -> Self {
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        // Every write leaves as its own segment, so a split frame
+        // really arrives in pieces.
+        stream.set_nodelay(true).unwrap();
+        RawPeer { stream, lamport: 0 }
+    }
+
+    /// The length prefix and the sealed frame of `msg`, from node 1.
+    fn framed(&mut self, msg: &Message) -> Vec<u8> {
+        self.lamport += 1;
+        let frame = hadfl::wire::seal(
+            hadfl::wire::CausalStamp {
+                origin: 1,
+                lamport: self.lamport,
+            },
+            msg,
+        );
+        let mut out = (frame.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&frame);
+        out
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        use std::io::Write;
+        self.stream.write_all(bytes).unwrap();
+    }
+}
+
+/// The encoding of `msg`: equal encodings are bit-identical messages
+/// (`-0.0` and NaN payloads included), unlike `PartialEq` on floats.
+fn bits(msg: &Message) -> Vec<u8> {
+    msg.encode().to_vec()
+}
+
+fn param_frame(n: usize, salt: f32) -> Message {
+    Message::ParamAccum {
+        round: 2,
+        hops: 1,
+        params: (0..n).map(|i| (i as f32 * salt).sin() * 1e3).collect(),
+    }
+}
+
+/// Frames that trickle in — a length prefix split in two, bodies split
+/// across pauses longer than the read timeout — are resumed, not lost
+/// or restarted, and arrive intact.
+#[test]
+fn reader_reassembles_frames_split_across_read_timeouts() {
+    let (cluster, nodes) = bind_cluster(3);
+    let opts = tcp_opts();
+    let pause = opts.read_timeout * 3;
+    let victim_node = nodes.into_iter().next().unwrap();
+    let addr = victim_node.local_addr().unwrap();
+    let mut victim = victim_node.into_port(&cluster, opts).unwrap();
+
+    let mut raw = RawPeer::connect(addr);
+    let hello = raw.framed(&Message::Hello { from: 1 });
+    let msg = param_frame(20_000, 0.37);
+    let param = raw.framed(&msg);
+    for bytes in [&hello, &param] {
+        // Prefix in two pieces, then the body in three.
+        let cuts = [
+            2,
+            4,
+            4 + (bytes.len() - 4) / 3,
+            bytes.len() - 5,
+            bytes.len(),
+        ];
+        let mut at = 0;
+        for cut in cuts {
+            raw.write(&bytes[at..cut]);
+            at = cut;
+            thread::sleep(pause);
+        }
+    }
+
+    let got = victim
+        .recv_timeout(Duration::from_secs(5))
+        .unwrap()
+        .unwrap();
+    assert_eq!(bits(&got), bits(&msg));
+    assert!(victim.try_recv().unwrap().is_none());
+    assert_eq!(victim.raw_bytes(), (hello.len() + param.len()) as u64);
+}
+
+/// Large, small and large frames back to back in one write — so reads
+/// straddle frame boundaries — are each delivered bit-identical, in
+/// order, through the one reused body buffer.
+#[test]
+fn reader_delivers_back_to_back_frames_of_mixed_size() {
+    let (cluster, nodes) = bind_cluster(3);
+    let victim_node = nodes.into_iter().next().unwrap();
+    let addr = victim_node.local_addr().unwrap();
+    let mut victim = victim_node.into_port(&cluster, tcp_opts()).unwrap();
+
+    let mut raw = RawPeer::connect(addr);
+    let msgs = [
+        param_frame(60_000, 0.11),
+        Message::VersionReport {
+            device: 1,
+            round: 2,
+            version: 17.0,
+        },
+        param_frame(45_000, -0.53),
+    ];
+    let mut wire = raw.framed(&Message::Hello { from: 1 });
+    for msg in &msgs {
+        wire.extend(raw.framed(msg));
+    }
+    raw.write(&wire);
+
+    for msg in &msgs {
+        let got = victim
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .unwrap();
+        assert_eq!(bits(&got), bits(msg));
+    }
+    assert!(victim.try_recv().unwrap().is_none());
+    assert_eq!(victim.raw_bytes(), wire.len() as u64);
+}
+
 /// The transport reports `InvalidConfig`, not a hang, when a peer's
 /// address never comes up (bounded redial budget).
 #[test]

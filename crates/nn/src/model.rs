@@ -88,12 +88,35 @@ impl Model {
         &self.net
     }
 
+    /// Visits every parameter tensor as a flat slice, in the order of
+    /// [`param_vector`](Model::param_vector), together with the slice's
+    /// offset into that vector. Lets callers read the parameters in
+    /// place instead of copying them out.
+    pub fn visit_param_slices(&self, f: &mut dyn FnMut(usize, &[f32])) {
+        let mut offset = 0;
+        self.net.visit_params(&mut |p| {
+            f(offset, p.as_slice());
+            offset += p.len();
+        });
+    }
+
+    /// Mutable counterpart of
+    /// [`visit_param_slices`](Model::visit_param_slices): updates the
+    /// parameters in place, tensor by tensor.
+    pub fn visit_param_slices_mut(&mut self, f: &mut dyn FnMut(usize, &mut [f32])) {
+        let mut offset = 0;
+        self.net.visit_params_mut(&mut |p| {
+            let n = p.len();
+            f(offset, p.as_mut_slice());
+            offset += n;
+        });
+    }
+
     /// Copies all parameters into one flat vector, in deterministic
     /// traversal order.
     pub fn param_vector(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.num_params());
-        self.net
-            .visit_params(&mut |p| out.extend_from_slice(p.as_slice()));
+        self.visit_param_slices(&mut |_, p| out.extend_from_slice(p));
         out
     }
 
@@ -111,12 +134,8 @@ impl Model {
                 actual: params.len(),
             });
         }
-        let mut offset = 0;
-        self.net.visit_params_mut(&mut |p| {
-            let n = p.len();
-            p.as_mut_slice()
-                .copy_from_slice(&params[offset..offset + n]);
-            offset += n;
+        self.visit_param_slices_mut(&mut |offset, p| {
+            p.copy_from_slice(&params[offset..offset + p.len()]);
         });
         Ok(())
     }
@@ -281,6 +300,27 @@ mod tests {
         m.set_param_vector(&doubled).unwrap();
         assert_eq!(m.param_vector(), doubled);
         assert!(m.set_param_vector(&doubled[1..]).is_err());
+    }
+
+    #[test]
+    fn param_slices_tile_the_param_vector() {
+        let mut m = tiny_model(7);
+        let flat = m.param_vector();
+        let mut next = 0;
+        m.visit_param_slices(&mut |offset, p| {
+            assert_eq!(offset, next, "slices are contiguous and in order");
+            assert_eq!(p, &flat[offset..offset + p.len()]);
+            next += p.len();
+        });
+        assert_eq!(next, flat.len());
+
+        m.visit_param_slices_mut(&mut |offset, p| {
+            for (i, x) in p.iter_mut().enumerate() {
+                *x = (offset + i) as f32;
+            }
+        });
+        let expect: Vec<f32> = (0..flat.len()).map(|i| i as f32).collect();
+        assert_eq!(m.param_vector(), expect);
     }
 
     #[test]
