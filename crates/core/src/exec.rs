@@ -27,7 +27,9 @@
 //!
 //! [`run_threaded`] wires the loops to the in-process
 //! [`ChannelTransport`]; `hadfl-net` wires the same loops to TCP
-//! sockets for multi-process clusters.
+//! sockets for multi-process clusters. [`drive_virtual`] steps any
+//! number of actors on one thread in virtual time: [`run_virtual`]
+//! and the 1k-device collector test both run through it.
 //!
 //! Fault tolerance follows §III-D: a ring member that goes silent is
 //! probed with [`Message::Handshake`]; absent an ack, the prober
@@ -280,6 +282,26 @@ pub struct CoordinatorRun {
     pub final_models: BTreeMap<usize, Vec<f32>>,
     /// Devices dropped mid-run, with the round they were dropped in.
     pub dropped: Vec<(usize, usize)>,
+}
+
+impl CoordinatorRun {
+    /// The post-run consensus: the average of the collected final
+    /// models.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HadflError::InvalidConfig`] when no device uploaded
+    /// final parameters, and the errors of
+    /// [`average_params`](crate::aggregate::average_params).
+    pub fn consensus(&self) -> Result<Vec<f32>, HadflError> {
+        if self.final_models.is_empty() {
+            return Err(HadflError::InvalidConfig(
+                "no device uploaded final parameters".into(),
+            ));
+        }
+        let refs: Vec<&[f32]> = self.final_models.values().map(Vec::as_slice).collect();
+        crate::aggregate::average_params(&refs)
+    }
 }
 
 /// The training-side state a [`DeviceActor`] owns: the real
@@ -1587,14 +1609,16 @@ fn digest_opt_ring(out: &mut Vec<u8>, run: Option<&RingRun>) {
 
 /// Runs one device's protocol loop over `port` until the coordinator
 /// sends [`Message::Shutdown`]; the device then uploads its final
-/// parameters and returns. Timing comes from a fresh [`WallClock`];
-/// see [`run_device_instrumented`] for an injected clock.
+/// parameters and returns.
 ///
 /// The loop trains one heterogeneity-aware local step at a time
 /// (sleeping `step_sleep` per step to emulate compute power), answers
 /// [`Message::Handshake`] probes, reports versions on request, joins
 /// ring synchronizations it is planned into, and blends broadcast
-/// models it receives while unselected.
+/// models it receives while unselected. Sleeps and timestamps come from
+/// `clock` ([`WallClock`] in production); `tel` receives the device
+/// lifecycle, local-step batches and ring events (pass
+/// [`Telemetry::disabled`] for none).
 ///
 /// # Errors
 ///
@@ -1602,32 +1626,6 @@ fn digest_opt_ring(out: &mut Vec<u8>, run: Option<&RingRun>) {
 /// [`HadflError::InvalidConfig`] when the fabric is torn down or a ring
 /// synchronization exceeds `timing.ring_hard_limit`.
 pub fn run_device<P: Port>(
-    port: P,
-    rt: DeviceRuntime,
-    config: &HadflConfig,
-    step_sleep: Duration,
-    timing: &ProtocolTiming,
-) -> Result<(), HadflError> {
-    run_device_instrumented(
-        port,
-        rt,
-        config,
-        step_sleep,
-        timing,
-        &WallClock::new(),
-        Telemetry::disabled(),
-    )
-}
-
-/// [`run_device`] with an injected [`Clock`] and a telemetry handle:
-/// emits the device lifecycle, local-step batches, and ring events, all
-/// timestamped from `clock` so [`crate::clock::ManualClock`] runs are
-/// deterministic.
-///
-/// # Errors
-///
-/// As [`run_device`].
-pub fn run_device_instrumented<P: Port>(
     mut port: P,
     mut rt: DeviceRuntime,
     config: &HadflConfig,
@@ -2216,41 +2214,16 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
 }
 
 /// Runs the coordinator's protocol loop over `port` (see
-/// [`CoordinatorActor`] for the script). Timing comes from a fresh
-/// [`WallClock`]; see [`run_coordinator_instrumented`] for an injected
-/// clock.
+/// [`CoordinatorActor`] for the script), timed by `clock`. `tel`
+/// receives round plans with their Eq. (8) selection probabilities,
+/// Eq. (7) prediction-vs-actual versions, device drops, and round
+/// latencies.
 ///
 /// # Errors
 ///
 /// Returns [`HadflError::ClusterDead`] when fewer than two devices
 /// remain, and fabric errors from the transport.
 pub fn run_coordinator<P: Port>(
-    port: P,
-    config: &HadflConfig,
-    window: Duration,
-    rounds: usize,
-    timing: &ProtocolTiming,
-) -> Result<CoordinatorRun, HadflError> {
-    run_coordinator_instrumented(
-        port,
-        config,
-        window,
-        rounds,
-        timing,
-        &WallClock::new(),
-        Telemetry::disabled(),
-    )
-}
-
-/// [`run_coordinator`] with an injected [`Clock`] and a telemetry
-/// handle: emits round plans with their Eq. (8) selection
-/// probabilities, Eq. (7) prediction-vs-actual versions, device drops,
-/// and round latencies.
-///
-/// # Errors
-///
-/// As [`run_coordinator`].
-pub fn run_coordinator_instrumented<P: Port>(
     mut port: P,
     config: &HadflConfig,
     window: Duration,
@@ -2322,9 +2295,20 @@ pub fn run_threaded(
     let outcome = thread::scope(|scope| -> Result<CoordinatorRun, HadflError> {
         let mut handles = Vec::with_capacity(k);
         for (i, (port, rt)) in device_ports.drain(..).zip(built.runtimes).enumerate() {
-            let sleep = Duration::from_secs_f64(opts.step_sleep.as_secs_f64() / opts.powers[i]);
+            let sleep = step_interval(opts, i);
             let timing = opts.timing.clone();
-            handles.push(scope.spawn(move || run_device(port, rt, config, sleep, &timing)));
+            handles.push(scope.spawn(move || {
+                let clock = WallClock::new();
+                run_device(
+                    port,
+                    rt,
+                    config,
+                    sleep,
+                    &timing,
+                    &clock,
+                    Telemetry::disabled(),
+                )
+            }));
         }
         let run = run_coordinator(
             coordinator_port,
@@ -2332,6 +2316,8 @@ pub fn run_threaded(
             opts.window,
             opts.rounds,
             &opts.timing,
+            &wall_clock,
+            Telemetry::disabled(),
         )?;
         for handle in handles {
             handle
@@ -2340,27 +2326,7 @@ pub fn run_threaded(
         }
         Ok(run)
     })?;
-
-    // Consensus evaluation: average the collected final models.
-    if outcome.final_models.is_empty() {
-        return Err(HadflError::InvalidConfig(
-            "no device uploaded final parameters".into(),
-        ));
-    }
-    let refs: Vec<&[f32]> = outcome.final_models.values().map(Vec::as_slice).collect();
-    let consensus = crate::aggregate::average_params(&refs)?;
-    let mut built_eval = workload.build(k)?;
-    let metrics = built_eval.evaluate_params(&consensus)?;
-
-    let stats = hub.net_stats();
-    Ok(ThreadedReport {
-        rounds: outcome.rounds,
-        final_accuracy: metrics.accuracy,
-        peer_bytes: stats.total_bytes() - stats.server_bytes(),
-        comm: CommSummary::from_stats(&stats, k),
-        dropped: outcome.dropped,
-        wall: wall_clock.now(),
-    })
+    threaded_report(workload, k, outcome, &hub, &wall_clock)
 }
 
 fn validate_threaded(opts: &ThreadedOptions) -> Result<usize, HadflError> {
@@ -2380,8 +2346,36 @@ fn validate_threaded(opts: &ThreadedOptions) -> Result<usize, HadflError> {
     Ok(k)
 }
 
+/// Device `i`'s emulated time per local step: `step_sleep / powers[i]`.
+fn step_interval(opts: &ThreadedOptions, i: usize) -> Duration {
+    Duration::from_secs_f64(opts.step_sleep.as_secs_f64() / opts.powers[i])
+}
+
+/// The report of a finished run over `hub`: the consensus evaluated on
+/// a fresh build of `workload`, the hub's byte ledger, and `clock`'s
+/// reading as the run's duration.
+fn threaded_report(
+    workload: &Workload,
+    k: usize,
+    outcome: CoordinatorRun,
+    hub: &ChannelTransport,
+    clock: &dyn Clock,
+) -> Result<ThreadedReport, HadflError> {
+    let consensus = outcome.consensus()?;
+    let metrics = workload.build(k)?.evaluate_params(&consensus)?;
+    let stats = hub.net_stats();
+    Ok(ThreadedReport {
+        rounds: outcome.rounds,
+        final_accuracy: metrics.accuracy,
+        peer_bytes: stats.total_bytes() - stats.server_bytes(),
+        comm: CommSummary::from_stats(&stats, k),
+        dropped: outcome.dropped,
+        wall: clock.now(),
+    })
+}
+
 /// [`run_threaded`] in virtual time: the same actors over the same
-/// channel hub, but driven by one thread on a [`ManualClock`] as a
+/// channel hub, but driven by [`drive_virtual`] on one thread as a
 /// discrete-event simulation. Heterogeneity becomes exact — a power-4
 /// device takes *exactly* 4× the local steps of a power-1 device per
 /// window, because steps are scheduled at `step_sleep / power`
@@ -2389,13 +2383,6 @@ fn validate_threaded(opts: &ThreadedOptions) -> Result<usize, HadflError> {
 /// scheduler. Identical inputs give identical reports, so assertions
 /// about relative progress ("the fast device outpaces the slow one")
 /// hold on any host, however loaded.
-///
-/// The driver mirrors the blocking loops event-for-event: in-flight
-/// messages are delivered to a fixpoint before time advances (channel
-/// latency is zero in virtual time), then the clock jumps straight to
-/// the earliest pending deadline — a device's next scheduled step, a
-/// ring silence timeout, or the coordinator's window/report/final
-/// deadline.
 ///
 /// `report.wall` is virtual elapsed time.
 ///
@@ -2412,38 +2399,53 @@ pub fn run_virtual(
     let clock = ManualClock::new();
 
     let mut hub = ChannelTransport::hub(k + 1);
-    let mut coord_port = hub.claim(coordinator_id(k))?;
-    let mut device_ports = Vec::with_capacity(k);
-    for i in 0..k {
-        device_ports.push(hub.claim(i)?);
-    }
-
-    let planner = StrategyGenerator::new(config);
-    let mut coord = CoordinatorActor::new(
+    let coord_port = hub.claim(coordinator_id(k))?;
+    let coord = CoordinatorActor::new(
         k,
-        planner,
+        StrategyGenerator::new(config),
         opts.window,
         opts.rounds,
         opts.timing.clone(),
         clock.now(),
     );
-
     let mut devices = Vec::with_capacity(k);
-    let mut sleeps = Vec::with_capacity(k);
-    let mut next_step = Vec::with_capacity(k);
     for (i, mut rt) in built.runtimes.into_iter().enumerate() {
         rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
         let mut actor = DeviceActor::new(i, k + 1, rt, config.blend_beta, opts.timing.clone());
         actor.begin_training(clock.now(), 1);
-        devices.push(actor);
-        // Like the blocking loop: step first, then wait out the sleep.
-        sleeps.push(Duration::from_secs_f64(
-            opts.step_sleep.as_secs_f64() / opts.powers[i],
-        ));
-        next_step.push(clock.now());
+        devices.push((actor, hub.claim(i)?, step_interval(opts, i)));
     }
 
-    let outcome = loop {
+    let outcome = drive_virtual(&clock, coord, coord_port, devices)?;
+    threaded_report(workload, k, outcome, &hub, &clock)
+}
+
+/// Drives a coordinator and its devices on one thread in virtual time
+/// until the coordinator is done, and returns its run. Each device
+/// comes with its port and its step interval: it takes a local step
+/// every interval of virtual time while training, the first one at the
+/// clock's current reading. Faults, telemetry and link behaviour are
+/// whatever the actors and ports carry.
+///
+/// The driver mirrors the blocking loops event for event: in-flight
+/// messages are delivered to a fixpoint before time advances (channel
+/// latency is zero in virtual time), then the clock jumps straight to
+/// the earliest pending deadline — a device's next scheduled step, a
+/// ring silence timeout, or the coordinator's window/report/final
+/// deadline. Messages reaching a finished device are discarded.
+///
+/// # Errors
+///
+/// The first error of any actor step or port receive.
+pub fn drive_virtual<P: Port, T: TrainState, Pl: Planner>(
+    clock: &ManualClock,
+    mut coord: CoordinatorActor<Pl>,
+    mut coord_port: P,
+    mut devices: Vec<(DeviceActor<T>, P, Duration)>,
+) -> Result<CoordinatorRun, HadflError> {
+    let k = devices.len();
+    let mut next_step = vec![clock.now(); k];
+    loop {
         // Deliver every in-flight message before anything else happens:
         // virtual channels have zero latency, so a frame sent "now" is
         // readable "now". Actions below may send more — drain to a
@@ -2454,11 +2456,11 @@ pub fn run_virtual(
                 coord.on_message(&mut coord_port, msg, clock.now())?;
                 progressed = true;
             }
-            for (i, actor) in devices.iter_mut().enumerate() {
-                while let Some(msg) = device_ports[i].try_recv()? {
+            for (actor, port, _) in &mut devices {
+                while let Some(msg) = port.try_recv()? {
                     // A finished device's leftovers are dead frames.
                     if !matches!(actor.hint(clock.now()), DeviceHint::Finished) {
-                        actor.on_message(&mut device_ports[i], msg, clock.now())?;
+                        actor.on_message(port, msg, clock.now())?;
                         progressed = true;
                     }
                 }
@@ -2470,7 +2472,7 @@ pub fn run_virtual(
 
         let now = clock.now();
         let coord_wake = match coord.hint(now) {
-            CoordHint::Done => break coord.into_run(),
+            CoordHint::Done => return Ok(coord.into_run()),
             CoordHint::Timer => {
                 coord.on_timer(&mut coord_port, now)?;
                 continue;
@@ -2488,10 +2490,10 @@ pub fn run_virtual(
         // Local steps due at the current instant (ports are empty, so
         // idle is the right action, exactly as in the blocking loop).
         let mut stepped = false;
-        for (i, actor) in devices.iter_mut().enumerate() {
-            if matches!(actor.hint(now), DeviceHint::Train) && next_step[i] <= now {
-                actor.on_idle(&mut device_ports[i])?;
-                next_step[i] = now + sleeps[i];
+        for ((actor, port, interval), next) in devices.iter_mut().zip(&mut next_step) {
+            if matches!(actor.hint(now), DeviceHint::Train) && *next <= now {
+                actor.on_idle(port)?;
+                *next = now + *interval;
                 stepped = true;
             }
         }
@@ -2502,7 +2504,7 @@ pub fn run_virtual(
         // Nothing due now: jump to the earliest pending deadline.
         let mut wake = coord_wake;
         let mut ring_deadline: Vec<Option<Duration>> = vec![None; k];
-        for (i, actor) in devices.iter().enumerate() {
+        for (i, (actor, _, _)) in devices.iter().enumerate() {
             match actor.hint(now) {
                 DeviceHint::Finished => {}
                 DeviceHint::Train => wake = wake.min(next_step[i]),
@@ -2519,41 +2521,21 @@ pub fn run_virtual(
         // fire the §III-D probe logic. (Train steps and coordinator
         // deadlines are re-derived from hints on the next iteration.)
         let now = clock.now();
-        for (i, actor) in devices.iter_mut().enumerate() {
-            if ring_deadline[i].is_some_and(|d| d <= now)
-                && matches!(actor.hint(now), DeviceHint::Ring(_))
+        for ((actor, port, _), deadline) in devices.iter_mut().zip(&ring_deadline) {
+            if deadline.is_some_and(|d| d <= now) && matches!(actor.hint(now), DeviceHint::Ring(_))
             {
-                actor.on_timer(&mut device_ports[i], now)?;
+                actor.on_timer(port, now)?;
             }
         }
-    };
-
-    if outcome.final_models.is_empty() {
-        return Err(HadflError::InvalidConfig(
-            "no device uploaded final parameters".into(),
-        ));
     }
-    let refs: Vec<&[f32]> = outcome.final_models.values().map(Vec::as_slice).collect();
-    let consensus = crate::aggregate::average_params(&refs)?;
-    let mut built_eval = workload.build(k)?;
-    let metrics = built_eval.evaluate_params(&consensus)?;
-
-    let stats = hub.net_stats();
-    Ok(ThreadedReport {
-        rounds: outcome.rounds,
-        final_accuracy: metrics.accuracy,
-        peer_bytes: stats.total_bytes() - stats.server_bytes(),
-        comm: CommSummary::from_stats(&stats, k),
-        dropped: outcome.dropped,
-        wall: clock.now(),
-    })
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
+    use hadfl_telemetry::{JsonlSink, SharedBuffer};
+    use std::sync::Arc;
 
     fn quick_config(seed: u64) -> HadflConfig {
         HadflConfig::builder()
@@ -2710,7 +2692,17 @@ mod tests {
             for ((_, rt), port) in runtimes.into_iter().zip(ports.drain(..)) {
                 let timing = timing.clone();
                 let config = &config;
-                scope.spawn(move || run_device(port, rt, config, step_sleep, &timing));
+                scope.spawn(move || {
+                    run_device(
+                        port,
+                        rt,
+                        config,
+                        step_sleep,
+                        &timing,
+                        &WallClock::new(),
+                        Telemetry::disabled(),
+                    )
+                });
             }
             // The mute device never reports (so it is dropped in round
             // 1) but stays alive until it hears Shutdown.
@@ -2735,6 +2727,8 @@ mod tests {
                 Duration::from_millis(60),
                 2,
                 &timing,
+                &WallClock::new(),
+                Telemetry::disabled(),
             )
         })
         .unwrap();
@@ -2785,6 +2779,8 @@ mod tests {
                 Duration::from_millis(40),
                 2,
                 &timing,
+                &WallClock::new(),
+                Telemetry::disabled(),
             )
         })
         .unwrap_err();
@@ -2839,7 +2835,15 @@ mod tests {
             let config = &config;
             let timing = timing.clone();
             let handle = scope.spawn(move || {
-                run_device(device_port, rt, config, Duration::from_millis(1), &timing)
+                run_device(
+                    device_port,
+                    rt,
+                    config,
+                    Duration::from_millis(1),
+                    &timing,
+                    &WallClock::new(),
+                    Telemetry::disabled(),
+                )
             });
             // The device closes the reduce it replayed from its backlog.
             match peer_port.recv_timeout(Duration::from_secs(10)).unwrap() {
@@ -2911,7 +2915,15 @@ mod tests {
             let config = &config;
             let timing = timing.clone();
             let handle = scope.spawn(move || {
-                run_device(device_port, rt, config, Duration::from_millis(1), &timing)
+                run_device(
+                    device_port,
+                    rt,
+                    config,
+                    Duration::from_millis(1),
+                    &timing,
+                    &WallClock::new(),
+                    Telemetry::disabled(),
+                )
             });
             match coord_port.recv_timeout(Duration::from_secs(10)).unwrap() {
                 Some(Message::FinalParams { device: 0, params }) => {
@@ -2987,7 +2999,15 @@ mod tests {
             let config = &config;
             let timing = timing.clone();
             let handle = scope.spawn(move || {
-                run_device(device_port, rt, config, Duration::from_millis(1), &timing)
+                run_device(
+                    device_port,
+                    rt,
+                    config,
+                    Duration::from_millis(1),
+                    &timing,
+                    &WallClock::new(),
+                    Telemetry::disabled(),
+                )
             });
             match peer1.recv_timeout(Duration::from_secs(10)).unwrap() {
                 Some(Message::MergedParams {
@@ -3047,7 +3067,17 @@ mod tests {
             for ((_, rt), port) in runtimes.into_iter().zip(ports.drain(..)) {
                 let timing = timing.clone();
                 let config = &config;
-                scope.spawn(move || run_device(port, rt, config, step_sleep, &timing));
+                scope.spawn(move || {
+                    run_device(
+                        port,
+                        rt,
+                        config,
+                        step_sleep,
+                        &timing,
+                        &WallClock::new(),
+                        Telemetry::disabled(),
+                    )
+                });
             }
             // The zombie answers the first version report and then dies
             // silently — a death *after* planning, which only the
@@ -3075,6 +3105,8 @@ mod tests {
                 Duration::from_millis(60),
                 2,
                 &timing,
+                &WallClock::new(),
+                Telemetry::disabled(),
             )
         })
         .unwrap();
@@ -3510,7 +3542,7 @@ mod tests {
                     }
                 });
             }
-            run_coordinator_instrumented(
+            run_coordinator(
                 coordinator_port,
                 &config,
                 Duration::from_millis(50),
@@ -3528,6 +3560,58 @@ mod tests {
             clock.now() >= Duration::from_millis(100),
             "windows must have advanced the virtual clock"
         );
+    }
+
+    /// One `drive_virtual` run of six stub devices with every actor and
+    /// port instrumented: the coordinator's run and the JSONL bytes of
+    /// every node's events, in emission order.
+    fn instrumented_stub_run() -> (CoordinatorRun, Vec<u8>) {
+        let k = 6;
+        let clock = ManualClock::new();
+        let shared: Arc<dyn Clock> = Arc::new(clock.clone());
+        let buf = SharedBuffer::new();
+        let tel =
+            |node: usize| Telemetry::new(node as u32, vec![Box::new(JsonlSink::new(buf.clone()))]);
+        let mut hub = ChannelTransport::hub(k + 1);
+        let port = |hub: &mut ChannelTransport, id: usize, tel: &Telemetry| {
+            let clock = Some(Arc::clone(&shared));
+            hub.claim_instrumented(id, tel.clone(), clock).unwrap()
+        };
+        let timing = ProtocolTiming::quick();
+        let coord_tel = tel(k);
+        let coord_port = port(&mut hub, k, &coord_tel);
+        let planner = StrategyGenerator::new(&quick_config(73));
+        let window = Duration::from_millis(40);
+        let coord = CoordinatorActor::new(k, planner, window, 3, timing.clone(), clock.now())
+            .with_telemetry(coord_tel);
+        let devices = (0..k)
+            .map(|i| {
+                let dev_tel = tel(i);
+                let train = StubTrain {
+                    params: vec![i as f32; 4],
+                    steps: 0,
+                };
+                let dev_port = port(&mut hub, i, &dev_tel);
+                let mut actor =
+                    DeviceActor::new(i, k + 1, train, 0.5, timing.clone()).with_telemetry(dev_tel);
+                actor.begin_training(clock.now(), 1);
+                (actor, dev_port, Duration::from_millis(2 + i as u64))
+            })
+            .collect();
+        let run = drive_virtual(&clock, coord, coord_port, devices).unwrap();
+        (run, buf.contents())
+    }
+
+    #[test]
+    fn drive_virtual_is_deterministic_with_telemetry() {
+        let (run, events) = instrumented_stub_run();
+        let (again, events_again) = instrumented_stub_run();
+        assert_eq!(run.rounds.len(), 3);
+        assert!(run.rounds.iter().all(|r| r.selected.len() == 2));
+        assert!(!events.is_empty());
+        assert!(events == events_again, "event streams differ");
+        assert_eq!(run.rounds, again.rounds);
+        assert_eq!(run.dropped, again.dropped);
     }
 
     /// A [`DeviceRuntime`] seen through the trait's default bodies: the

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hadfl::clock::{profiler_time, Clock, WallClock};
-use hadfl::exec::{run_coordinator_instrumented, run_device_instrumented, ProtocolTiming};
+use hadfl::exec::{run_coordinator, run_device, ProtocolTiming};
 use hadfl::trace::CommSummary;
 use hadfl::{HadflConfig, HadflError, Workload};
 use hadfl_net::cluster::{ClusterConfig, Role};
@@ -242,7 +242,7 @@ fn run(args: &Args) -> Result<(), HadflError> {
                 .nth(args.id)
                 .ok_or_else(|| HadflError::InvalidConfig("device id out of range".into()))?;
             let sleep = Duration::from_secs_f64(args.step_sleep.as_secs_f64() / spec.power);
-            run_device_instrumented(port, rt, &config, sleep, &timing, &*clock, tel.clone())?;
+            run_device(port, rt, &config, sleep, &timing, &*clock, tel.clone())?;
             stats.emit_ledger();
             drop(prof_guard);
             if let Some(dir) = &args.profile_dir {
@@ -256,7 +256,7 @@ fn run(args: &Args) -> Result<(), HadflError> {
                 "hadfl-node: coordinating {k} devices for {} rounds of {:?}",
                 args.rounds, args.window
             );
-            let run = run_coordinator_instrumented(
+            let run = run_coordinator(
                 port,
                 &config,
                 args.window,
@@ -280,15 +280,7 @@ fn run(args: &Args) -> Result<(), HadflError> {
             for &(device, round) in &run.dropped {
                 println!("dropped device {device} in round {round}");
             }
-            if run.final_models.is_empty() {
-                return Err(HadflError::InvalidConfig(
-                    "no device uploaded final parameters".into(),
-                ));
-            }
-            let refs: Vec<&[f32]> = run.final_models.values().map(Vec::as_slice).collect();
-            let consensus = hadfl::aggregate::average_params(&refs)?;
-            let mut built = workload.build(k)?;
-            let metrics = built.evaluate_params(&consensus)?;
+            let metrics = workload.build(k)?.evaluate_params(&run.consensus()?)?;
             println!(
                 "consensus accuracy {:.4} (loss {:.4})",
                 metrics.accuracy, metrics.loss

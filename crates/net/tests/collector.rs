@@ -1,6 +1,7 @@
-//! End-to-end collector tests: the 1k-device simulated fleet shipped
-//! over real TCP into a running [`CollectorServer`], and a scripted
-//! [`ManualClock`] reproduction of every health rule.
+//! End-to-end collector tests: a 1k-device fleet of the real protocol
+//! actors, driven in virtual time and shipped over real TCP into a
+//! running [`CollectorServer`], and a scripted [`ManualClock`]
+//! reproduction of every health rule.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -10,13 +11,20 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use hadfl::clock::{Clock, ManualClock, WallClock};
+use hadfl::coordinator::StrategyGenerator;
+use hadfl::exec::{drive_virtual, CoordinatorActor, DeviceActor, ProtocolTiming, TrainState};
+use hadfl::transport::{ChannelPort, ChannelTransport, Port};
+use hadfl::wire::Message;
+use hadfl::{HadflConfig, HadflError};
 use hadfl_net::collector::{Collector, CollectorOptions, CollectorServer};
 use hadfl_net::ship::TcpShipper;
-use hadfl_simnet::{simulate_fleet, DeadSpec, FleetConfig, StragglerSpec};
+use hadfl_simnet::NetStats;
 use hadfl_telemetry::health::HealthOptions;
 use hadfl_telemetry::ship::{ShipOptions, ShipSink};
 use hadfl_telemetry::sink::Sink;
-use hadfl_telemetry::{Event, EventKind, FollowState, MetricsRegistry, SCHEMA_VERSION};
+use hadfl_telemetry::{
+    Event, EventKind, FollowState, MetricsRegistry, RingBufferSink, Telemetry, SCHEMA_VERSION,
+};
 
 /// Minimal HTTP/1.1 GET against the collector's endpoint; returns the
 /// full response (headers + body).
@@ -35,27 +43,172 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     response
 }
 
+/// Fleet size; the coordinator is node `DEVICES`.
+const DEVICES: usize = 1000;
+/// Parameters per model: 16,384 `f32`, one 64 KiB frame.
+const PARAMS: usize = 16_384;
+
+/// A model that does not train: a version counter and a uniform
+/// parameter vector kept as one value, so a thousand actors cost their
+/// frames and little else.
+struct Stub {
+    level: f32,
+    steps: u64,
+}
+
+impl TrainState for Stub {
+    fn params(&self) -> Vec<f32> {
+        vec![self.level; PARAMS]
+    }
+
+    fn set_params(&mut self, params: &[f32]) -> Result<(), HadflError> {
+        if params.len() != PARAMS {
+            return Err(HadflError::InvalidConfig("stub length mismatch".into()));
+        }
+        self.level = params[0];
+        Ok(())
+    }
+
+    fn train_step(&mut self) -> Result<(), HadflError> {
+        self.steps += 1;
+        Ok(())
+    }
+
+    fn version(&self) -> f64 {
+        self.steps as f64
+    }
+}
+
+/// A channel port whose node dies at `dies_at` of virtual time: from
+/// then on its sends vanish and its inbound frames stay unread.
+struct MortalPort {
+    inner: ChannelPort,
+    dies_at: Option<Duration>,
+    clock: ManualClock,
+}
+
+impl MortalPort {
+    fn dead(&self) -> bool {
+        self.dies_at.is_some_and(|t| self.clock.now() >= t)
+    }
+}
+
+impl Port for MortalPort {
+    fn id(&self) -> usize {
+        self.inner.id()
+    }
+
+    fn participants(&self) -> usize {
+        self.inner.participants()
+    }
+
+    fn send(&mut self, to: usize, msg: &Message) -> Result<(), HadflError> {
+        if self.dead() {
+            return Ok(());
+        }
+        self.inner.send(to, msg)
+    }
+
+    fn try_recv(&mut self) -> Result<Option<Message>, HadflError> {
+        if self.dead() {
+            return Ok(None);
+        }
+        self.inner.try_recv()
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, HadflError> {
+        if self.dead() {
+            return Ok(None);
+        }
+        self.inner.recv_timeout(timeout)
+    }
+
+    fn stats(&self) -> NetStats {
+        self.inner.stats()
+    }
+}
+
+/// What a fleet run leaves behind: every node's events in emission
+/// order, and the parameter bytes moved between devices.
+struct FleetRun {
+    events: Vec<Event>,
+    param_bytes: u64,
+}
+
+/// Runs 1000 real [`DeviceActor`]s and a [`CoordinatorActor`] through
+/// [`drive_virtual`] for 5 rounds of 500 ms windows, 32 devices per
+/// ring. Devices step every 5 ms; device 3 straggles at 1/10 speed, and
+/// device 7 dies 2.5 windows in, mid-round 3, so it misses that
+/// round's report.
+fn run_fleet() -> FleetRun {
+    let clock = ManualClock::new();
+    let shared: Arc<dyn Clock> = Arc::new(clock.clone());
+    let sink = RingBufferSink::new(usize::MAX);
+    let config = HadflConfig::builder()
+        .num_selected(32)
+        .seed(14)
+        .build()
+        .expect("config");
+    let timing = ProtocolTiming::quick();
+    let window = Duration::from_millis(500);
+
+    let mut hub = ChannelTransport::hub(DEVICES + 1);
+    let mut node = |id: usize, dies_at: Option<Duration>| {
+        let tel = Telemetry::new(id as u32, vec![Box::new(sink.clone())]);
+        let inner = hub
+            .claim_instrumented(id, tel.clone(), Some(Arc::clone(&shared)))
+            .expect("claim port");
+        let clock = clock.clone();
+        let port = MortalPort {
+            inner,
+            dies_at,
+            clock,
+        };
+        (tel, port)
+    };
+    let (coord_tel, coord_port) = node(DEVICES, None);
+    let planner = StrategyGenerator::new(&config);
+    let coord = CoordinatorActor::new(DEVICES, planner, window, 5, timing.clone(), clock.now())
+        .with_telemetry(coord_tel);
+    let devices = (0..DEVICES)
+        .map(|i| {
+            let (tel, port) = node(i, (i == 7).then_some(window * 5 / 2));
+            let stub = Stub {
+                level: 0.0,
+                steps: 0,
+            };
+            let mut actor =
+                DeviceActor::new(i, DEVICES + 1, stub, config.blend_beta, timing.clone())
+                    .with_telemetry(tel);
+            actor.begin_training(clock.now(), 1);
+            let step = Duration::from_millis(if i == 3 { 50 } else { 5 });
+            (actor, port, step)
+        })
+        .collect();
+
+    let run = drive_virtual(&clock, coord, coord_port, devices).expect("fleet run");
+    assert_eq!(run.rounds.len(), 5);
+    assert!(run.dropped.contains(&(7, 3)), "{:?}", run.dropped);
+    assert_eq!(sink.dropped(), 0);
+    let stats = hub.net_stats();
+    FleetRun {
+        events: sink.snapshot(),
+        param_bytes: stats.total_bytes() - stats.server_bytes(),
+    }
+}
+
 #[test]
 fn thousand_device_fleet_ships_through_a_live_collector() {
-    let cfg = FleetConfig {
-        devices: 1000,
-        rounds: 5,
-        num_selected: 32,
-        param_bytes: 64 * 1024,
-        straggler: Some(StragglerSpec {
-            device: 3,
-            from_round: 1,
-            slow_factor: 10.0,
-        }),
-        dead: Some(DeadSpec {
-            device: 7,
-            at_round: 3,
-        }),
-        ..FleetConfig::default()
-    };
-    let mut events = Vec::new();
-    let report = simulate_fleet(&cfg, &mut |e| events.push(e)).expect("fleet run");
-    assert_eq!(report.events_emitted, events.len() as u64);
+    let FleetRun {
+        mut events,
+        param_bytes,
+    } = run_fleet();
+    let emitted = events.len() as u64;
+    // Every node keeps its own Lamport clock, so emission order is not
+    // causal order. The collector sorts by `(lam, node, seq)` within
+    // each tick only; shipping the fleet's merged timeline keeps the
+    // spool causal across ticks too.
+    events.sort_by_key(|e| (e.lam, e.node, e.seq));
 
     let spool = std::env::temp_dir().join(format!(
         "hadfl-collector-fleet-{}.jsonl",
@@ -79,7 +232,7 @@ fn thousand_device_fleet_ships_through_a_live_collector() {
     // Ship the whole fleet's stream through the production path: the
     // ShipSink queue + shipper thread + sealed TCP frames. Capacity is
     // raised above the event count so the parity check stays exact.
-    let coordinator = cfg.devices as u32;
+    let coordinator = DEVICES as u32;
     let shipper = TcpShipper::new(
         &server.ingest_addr().to_string(),
         coordinator,
@@ -105,19 +258,19 @@ fn thousand_device_fleet_ships_through_a_live_collector() {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let applied = server.collector().lock().status().events_applied;
-        if applied >= report.events_emitted {
+        if applied >= emitted {
             break;
         }
         assert!(
             Instant::now() < deadline,
             "collector applied only {applied}/{} events",
-            report.events_emitted
+            emitted
         );
         std::thread::sleep(Duration::from_millis(50));
     }
 
     let status = server.collector().lock().status();
-    assert_eq!(status.events_applied, report.events_emitted);
+    assert_eq!(status.events_applied, emitted);
     assert_eq!(status.garbage_lines, 0);
     assert_eq!(status.events_dropped, 0, "capacity was above event count");
 
@@ -130,10 +283,10 @@ fn thousand_device_fleet_ships_through_a_live_collector() {
         "shipper and collector ledgers disagree"
     );
     assert!(
-        status.telemetry_bytes < report.param_bytes_total / 20,
+        status.telemetry_bytes < param_bytes / 20,
         "telemetry {} bytes >= 5% of param {} bytes",
         status.telemetry_bytes,
-        report.param_bytes_total
+        param_bytes
     );
 
     // The injected faults each raise their alert, within 3 rounds.
@@ -189,7 +342,7 @@ fn thousand_device_fleet_ships_through_a_live_collector() {
         last_lam = event.lam;
         follow.observe(&event);
     }
-    assert_eq!(follow.events_seen(), report.events_emitted);
+    assert_eq!(follow.events_seen(), emitted);
     let rendered = follow.render(16);
     assert!(rendered.contains("round"), "{rendered}");
     let _ = std::fs::remove_file(&spool);

@@ -11,6 +11,10 @@
 //! the communication-volume claims of the paper (§II-B, §III-D) can be
 //! checked exactly.
 //!
+//! This crate models costs, not the protocol: the analytical driver in
+//! `hadfl::driver` runs on it, while fleet-scale runs of the deployed
+//! protocol step the real actors through `hadfl::exec::drive_virtual`.
+//!
 //! # Example
 //!
 //! ```
@@ -39,7 +43,6 @@ mod compute;
 mod error;
 mod event;
 mod fault;
-mod fleet;
 mod link;
 mod stats;
 mod time;
@@ -49,7 +52,6 @@ pub use compute::{ComputeModel, Jitter};
 pub use error::SimError;
 pub use event::EventQueue;
 pub use fault::{FaultPlan, Outage};
-pub use fleet::{simulate_fleet, DeadSpec, FleetConfig, FleetRunReport, StragglerSpec};
 pub use link::LinkModel;
 pub use stats::{Endpoint, NetStats};
 pub use time::VirtualTime;

@@ -265,8 +265,9 @@ impl MetricsRegistry {
 /// prediction absolute error, and selection counts per device.
 pub struct MetricsSink {
     registry: Arc<MetricsRegistry>,
-    // RingEnter timestamp per round, for the ring-phase histogram.
-    ring_enter_us: BTreeMap<u32, u64>,
+    // RingEnter timestamp per (node, round), for the ring-phase
+    // histogram: a merged fleet stream interleaves every member's pair.
+    ring_enter_us: BTreeMap<(u32, u32), u64>,
     // Open spans by (node, span id) -> (segment name, start t_us), for
     // the per-segment latency histograms.
     open_spans: BTreeMap<(u32, u64), (String, u64)>,
@@ -299,10 +300,10 @@ impl Sink for MetricsSink {
                 );
             }
             EventKind::RingEnter { round, .. } => {
-                self.ring_enter_us.insert(*round, event.t_us);
+                self.ring_enter_us.insert((event.node, *round), event.t_us);
             }
             EventKind::RingExit { round, dissolved } => {
-                if let Some(entered) = self.ring_enter_us.remove(round) {
+                if let Some(entered) = self.ring_enter_us.remove(&(event.node, *round)) {
                     let secs = event.t_us.saturating_sub(entered) as f64 / 1e6;
                     reg.observe("hadfl_ring_phase_seconds", &[], secs, LATENCY_BUCKETS);
                 }
@@ -566,6 +567,32 @@ mod tests {
         assert!(text.contains("# TYPE hadfl_local_steps_total counter"));
         assert!(text.contains("hadfl_ring_phase_seconds_bucket"));
         assert!(text.contains("hadfl_ring_phase_seconds_count 1"));
+    }
+
+    /// A collector feeds one sink every node's events merged: ring
+    /// phases must pair per node, not per round.
+    #[test]
+    fn ring_phases_pair_per_node_in_a_merged_stream() {
+        let registry = MetricsRegistry::new();
+        let mut sink = MetricsSink::new(Arc::clone(&registry));
+        let at = |node, t_us, kind| Event {
+            node,
+            ..event(t_us, kind)
+        };
+        for (node, t_us) in [(0, 0), (1, 10_000)] {
+            let ring = vec![0, 1];
+            sink.record(&at(node, t_us, EventKind::RingEnter { round: 1, ring }));
+        }
+        for (node, t_us) in [(0, 30_000), (1, 50_000)] {
+            let exit = EventKind::RingExit {
+                round: 1,
+                dissolved: false,
+            };
+            sink.record(&at(node, t_us, exit));
+        }
+        let text = registry.render();
+        assert!(text.contains("hadfl_ring_phase_seconds_count 2"), "{text}");
+        assert!(text.contains("hadfl_ring_phase_seconds_sum 0.07"), "{text}");
     }
 
     #[test]

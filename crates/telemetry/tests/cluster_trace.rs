@@ -15,9 +15,7 @@ use std::thread;
 use std::time::Duration;
 
 use hadfl::clock::{Clock, ManualClock, WallClock};
-use hadfl::exec::{
-    run_coordinator_instrumented, run_device_instrumented, DeviceActor, ProtocolTiming, TrainState,
-};
+use hadfl::exec::{run_coordinator, run_device, DeviceActor, ProtocolTiming, TrainState};
 use hadfl::transport::{coordinator_id, ChannelTransport, Port};
 use hadfl::wire::Message;
 use hadfl::{HadflConfig, HadflError, Workload};
@@ -84,11 +82,10 @@ fn run_instrumented_cluster(dir: &std::path::Path) -> Vec<hadfl_simnet::NetStats
             let clock = Arc::clone(&clock);
             let tel = tels[i].clone();
             scope.spawn(move || {
-                run_device_instrumented(port, rt, config, sleep, &timing, &*clock, tel)
-                    .expect("device loop")
+                run_device(port, rt, config, sleep, &timing, &*clock, tel).expect("device loop")
             });
         }
-        run_coordinator_instrumented(
+        run_coordinator(
             coordinator_port,
             &config,
             Duration::from_millis(120),

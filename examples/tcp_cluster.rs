@@ -30,7 +30,7 @@ use std::thread;
 use std::time::Duration;
 
 use hadfl::clock::{Clock, WallClock};
-use hadfl::exec::{run_coordinator_instrumented, run_device_instrumented, ProtocolTiming};
+use hadfl::exec::{run_coordinator, run_device, ProtocolTiming};
 use hadfl::trace::CommSummary;
 use hadfl::transport::coordinator_id;
 use hadfl::{HadflConfig, Workload};
@@ -155,11 +155,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let clock = Arc::clone(&clock);
             let tel = tels[i].clone();
             scope.spawn(move || {
-                run_device_instrumented(port, rt, config, sleep, &timing, &*clock, tel)
-                    .expect("device loop")
+                run_device(port, rt, config, sleep, &timing, &*clock, tel).expect("device loop")
             });
         }
-        run_coordinator_instrumented(
+        run_coordinator(
             coordinator_port,
             &config,
             Duration::from_millis(300),
@@ -185,10 +184,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.round, r.versions, r.selected
         );
     }
-    let refs: Vec<&[f32]> = run.final_models.values().map(Vec::as_slice).collect();
-    let consensus = hadfl::aggregate::average_params(&refs)?;
-    let mut evaluator = workload.build(k)?;
-    let metrics = evaluator.evaluate_params(&consensus)?;
+    let metrics = workload.build(k)?.evaluate_params(&run.consensus()?)?;
     println!("consensus test accuracy: {:.1}%", metrics.accuracy * 100.0);
 
     // The coordinator's ledger counts exactly the encoded protocol
