@@ -48,7 +48,7 @@ use std::mem;
 use std::thread;
 use std::time::Duration;
 
-use hadfl_nn::LrSchedule;
+use hadfl_nn::{Dataset, LrSchedule};
 
 use crate::aggregate::blend_params;
 use crate::clock::{Clock, ManualClock, WallClock};
@@ -2283,6 +2283,7 @@ pub fn run_threaded(
 ) -> Result<ThreadedReport, HadflError> {
     let k = validate_threaded(opts)?;
     let built = workload.build(k)?;
+    let test = built.test;
     let wall_clock = WallClock::new();
 
     let mut hub = ChannelTransport::hub(k + 1);
@@ -2326,7 +2327,7 @@ pub fn run_threaded(
         }
         Ok(run)
     })?;
-    threaded_report(workload, k, outcome, &hub, &wall_clock)
+    threaded_report(workload, &test, k, outcome, &hub, &wall_clock)
 }
 
 fn validate_threaded(opts: &ThreadedOptions) -> Result<usize, HadflError> {
@@ -2351,18 +2352,20 @@ fn step_interval(opts: &ThreadedOptions, i: usize) -> Duration {
     Duration::from_secs_f64(opts.step_sleep.as_secs_f64() / opts.powers[i])
 }
 
-/// The report of a finished run over `hub`: the consensus evaluated on
-/// a fresh build of `workload`, the hub's byte ledger, and `clock`'s
-/// reading as the run's duration.
+/// The report of a finished run over `hub`: the consensus scored on
+/// `test` by [`Workload::evaluate_consensus`] (a pristine initial model,
+/// made only now that the devices' models are gone), the hub's byte
+/// ledger, and `clock`'s reading as the run's duration.
 fn threaded_report(
     workload: &Workload,
+    test: &Dataset,
     k: usize,
     outcome: CoordinatorRun,
     hub: &ChannelTransport,
     clock: &dyn Clock,
 ) -> Result<ThreadedReport, HadflError> {
     let consensus = outcome.consensus()?;
-    let metrics = workload.build(k)?.evaluate_params(&consensus)?;
+    let metrics = workload.evaluate_consensus(test, &consensus)?;
     let stats = hub.net_stats();
     Ok(ThreadedReport {
         rounds: outcome.rounds,
@@ -2384,6 +2387,9 @@ fn threaded_report(
 /// about relative progress ("the fast device outpaces the slow one")
 /// hold on any host, however loaded.
 ///
+/// The workload is built once. Its replicas become the actors; its test
+/// set scores the consensus through [`Workload::evaluate_consensus`],
+/// whose pristine initial model is made after the actors are dropped.
 /// `report.wall` is virtual elapsed time.
 ///
 /// # Errors
@@ -2396,6 +2402,7 @@ pub fn run_virtual(
 ) -> Result<ThreadedReport, HadflError> {
     let k = validate_threaded(opts)?;
     let built = workload.build(k)?;
+    let test = built.test;
     let clock = ManualClock::new();
 
     let mut hub = ChannelTransport::hub(k + 1);
@@ -2417,7 +2424,7 @@ pub fn run_virtual(
     }
 
     let outcome = drive_virtual(&clock, coord, coord_port, devices)?;
-    threaded_report(workload, k, outcome, &hub, &clock)
+    threaded_report(workload, &test, k, outcome, &hub, &clock)
 }
 
 /// Drives a coordinator and its devices on one thread in virtual time

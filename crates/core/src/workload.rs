@@ -95,10 +95,61 @@ impl Workload {
         }
     }
 
+    /// The initial model `w₀` every device starts from: the zoo model
+    /// named by `model_name`, initialized from `seed`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a configuration error for an unknown model or a data spec
+    /// the model rejects.
+    pub fn initial_model(&self) -> Result<Model, HadflError> {
+        Ok(models::by_name(
+            &self.model_name,
+            &self.data_spec.sample_dims(),
+            self.data_spec.classes,
+            self.seed,
+        )?)
+    }
+
+    /// The held-out test set, the same one [`build`](Self::build) makes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a configuration error for a degenerate data spec.
+    pub fn test_set(&self) -> Result<Dataset, HadflError> {
+        Ok(Dataset::synthetic_cifar(
+            self.test_size,
+            &self.data_spec,
+            self.seed ^ 0x7E57_0000,
+        )?)
+    }
+
+    /// Scores a parameter vector, typically a run's consensus, on `test`
+    /// with a pristine [`initial_model`](Self::initial_model): the
+    /// parameters are `params`, the batch-norm statistics are `w₀`'s, not
+    /// a trained replica's. The metrics equal those of
+    /// [`BuiltWorkload::evaluate_params`] on a freshly built fleet, without
+    /// building one.
+    ///
+    /// # Errors
+    ///
+    /// Returns a configuration error for an unknown model, and
+    /// propagates substrate errors (including a wrong-length `params`).
+    pub fn evaluate_consensus(
+        &self,
+        test: &Dataset,
+        params: &[f32],
+    ) -> Result<Metrics, HadflError> {
+        let mut model = self.initial_model()?;
+        model.set_param_vector(params)?;
+        Ok(model.evaluate(test, 64)?)
+    }
+
     /// Materializes the workload for `k` devices.
     ///
     /// All device models start from identical parameters (the paper's
-    /// Algorithm 1 line 1 synchronizes `w₀` first).
+    /// Algorithm 1 line 1 synchronizes `w₀` first): the initial model is
+    /// built once and each replica is a copy of it.
     ///
     /// # Errors
     ///
@@ -106,33 +157,28 @@ impl Workload {
     /// data spec, or `k` larger than the training set.
     pub fn build(&self, k: usize) -> Result<BuiltWorkload, HadflError> {
         let train = Dataset::synthetic_cifar(self.train_size, &self.data_spec, self.seed ^ 0x7124)?;
-        let test =
-            Dataset::synthetic_cifar(self.test_size, &self.data_spec, self.seed ^ 0x7E57_0000)?;
+        let test = self.test_set()?;
         let shards = train.shard(k, self.shard.into(), self.seed ^ 0x5A)?;
-        let reference = models::by_name(
-            &self.model_name,
-            &self.data_spec.sample_dims(),
-            self.data_spec.classes,
-            self.seed,
-        )?;
-        let init = reference.param_vector();
-        let model_bytes = (init.len() * std::mem::size_of::<f32>()) as u64;
-        let mut runtimes = Vec::with_capacity(k);
-        for (i, shard) in shards.iter().enumerate() {
-            let mut model = models::by_name(
-                &self.model_name,
-                &self.data_spec.sample_dims(),
-                self.data_spec.classes,
-                self.seed,
-            )?;
-            model.set_param_vector(&init)?;
-            runtimes.push(DeviceRuntime::new(
-                model,
-                shard.clone(),
-                self.device_batch,
-                self.seed ^ (0xD0 + i as u64),
-            )?);
-        }
+        let reference = self.initial_model()?;
+        let model_bytes = (reference.num_params() * std::mem::size_of::<f32>()) as u64;
+        // `repeat_n` clones the reference for all but the last replica,
+        // which takes the reference itself. The shards are copied, not
+        // moved: moving them frees one train-set-sized block fewer per
+        // build, and that heap-layout shift alone made e2ebench's
+        // tcp-relay `run_s` ~18% slower on a 2-vCPU host, though its relay
+        // loop never calls `build` (ROADMAP item 2).
+        let runtimes = std::iter::repeat_n(reference, shards.len())
+            .zip(&shards)
+            .enumerate()
+            .map(|(i, (model, shard))| {
+                DeviceRuntime::new(
+                    model,
+                    shard.clone(),
+                    self.device_batch,
+                    self.seed ^ (0xD0 + i as u64),
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(BuiltWorkload {
             runtimes,
             test,
@@ -315,11 +361,66 @@ mod tests {
 
     #[test]
     fn build_creates_identical_replicas() {
-        let built = Workload::quick("mlp", 3).build(4).unwrap();
-        assert_eq!(built.devices(), 4);
-        let p0 = built.runtimes[0].model.param_vector();
-        for rt in &built.runtimes[1..] {
-            assert_eq!(rt.model.param_vector(), p0, "replicas must start identical");
+        for name in ["mlp", "resnet18_lite", "vgg16_lite_dropout"] {
+            let workload = Workload::quick(name, 3);
+            let built = workload.build(4).unwrap();
+            assert_eq!(built.devices(), 4);
+            let w0 = workload.initial_model().unwrap().param_vector();
+            assert_eq!(built.model_bytes, (w0.len() * 4) as u64);
+            for rt in &built.runtimes {
+                assert_eq!(
+                    rt.model.param_vector(),
+                    w0,
+                    "{name}: replicas must start at w0"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn test_set_is_the_built_one() {
+        let workload = Workload::quick("mlp", 2);
+        assert_eq!(
+            workload.test_set().unwrap(),
+            workload.build(2).unwrap().test
+        );
+    }
+
+    /// The consensus of a few local steps on every replica.
+    fn trained_consensus(built: &mut BuiltWorkload) -> Vec<f32> {
+        let mut sum = vec![0.0f32; built.runtimes[0].model.num_params()];
+        for rt in &mut built.runtimes {
+            rt.train_steps(3).unwrap();
+            for (s, p) in sum.iter_mut().zip(rt.model.param_vector()) {
+                *s += p;
+            }
+        }
+        let k = built.devices() as f32;
+        sum.iter().map(|s| s / k).collect()
+    }
+
+    #[test]
+    fn evaluate_consensus_matches_a_fresh_build() {
+        let bits = |m: Metrics| (m.loss.to_bits(), m.accuracy.to_bits(), m.samples);
+        for name in ["mlp", "resnet18_lite"] {
+            let workload = Workload::quick(name, 4);
+            let mut trained = workload.build(4).unwrap();
+            let consensus = trained_consensus(&mut trained);
+            let fresh = workload
+                .build(4)
+                .unwrap()
+                .evaluate_params(&consensus)
+                .unwrap();
+            let scored = workload
+                .evaluate_consensus(&trained.test, &consensus)
+                .unwrap();
+            assert_eq!(bits(scored), bits(fresh), "{name}");
+            if name == "resnet18_lite" {
+                // A trained replica carries moved batch-norm statistics,
+                // so scoring on it would give different numbers.
+                let on_replica = trained.evaluate_params(&consensus).unwrap();
+                assert_ne!(bits(on_replica), bits(scored), "{name}");
+            }
         }
     }
 

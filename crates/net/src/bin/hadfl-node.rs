@@ -280,7 +280,7 @@ fn run(args: &Args) -> Result<(), HadflError> {
             for &(device, round) in &run.dropped {
                 println!("dropped device {device} in round {round}");
             }
-            let metrics = workload.build(k)?.evaluate_params(&run.consensus()?)?;
+            let metrics = workload.evaluate_consensus(&workload.test_set()?, &run.consensus()?)?;
             println!(
                 "consensus accuracy {:.4} (loss {:.4})",
                 metrics.accuracy, metrics.loss

@@ -44,10 +44,13 @@ fn bind_cluster(n: usize) -> (ClusterConfig, Vec<BoundNode>) {
 }
 
 /// Consensus accuracy of the final models a coordinator collected.
-fn consensus_accuracy(workload: &Workload, k: usize, run: &CoordinatorRun) -> f32 {
+fn consensus_accuracy(workload: &Workload, run: &CoordinatorRun) -> f32 {
     let consensus = run.consensus().unwrap();
-    let mut built = workload.build(k).unwrap();
-    built.evaluate_params(&consensus).unwrap().accuracy
+    let test = workload.test_set().unwrap();
+    workload
+        .evaluate_consensus(&test, &consensus)
+        .unwrap()
+        .accuracy
 }
 
 /// Acceptance path: 4 devices + coordinator over loopback TCP complete
@@ -146,7 +149,7 @@ fn tcp_cluster_converges_like_threaded_executor() {
             k,
             "all devices must upload final parameters"
         );
-        let tcp_accuracy = consensus_accuracy(&workload, k, &run);
+        let tcp_accuracy = consensus_accuracy(&workload, &run);
         // Accuracy assertions only hold when training actually
         // happened. On a starved host (1-CPU CI runners), ten threads
         // share one core and the wall-clock report window closes after
@@ -286,7 +289,7 @@ fn tcp_cluster_survives_peer_death() {
         "survivors must upload: {:?}",
         run.final_models.keys()
     );
-    let accuracy = consensus_accuracy(&workload, k, &run);
+    let accuracy = consensus_accuracy(&workload, &run);
     assert!(accuracy.is_finite());
 }
 

@@ -20,7 +20,7 @@ use crate::layer::Layer;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Relu {
     mask: Option<Vec<bool>>,
 }

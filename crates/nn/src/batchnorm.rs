@@ -25,7 +25,7 @@ use crate::layer::Layer;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     channels: usize,
     eps: f32,
@@ -39,7 +39,7 @@ pub struct BatchNorm2d {
     cached: Option<BnCache>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct BnCache {
     xhat: Tensor,
     inv_std: Vec<f32>,

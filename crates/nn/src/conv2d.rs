@@ -25,7 +25,7 @@ use crate::layer::Layer;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Conv2d {
     geom: Conv2dGeometry,
     out_channels: usize,

@@ -20,7 +20,7 @@ use crate::layer::Layer;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     weight: Tensor,
     bias: Tensor,

@@ -24,7 +24,7 @@ use crate::layer::Layer;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Dropout {
     p: f32,
     rng: SeedStream,

@@ -24,7 +24,10 @@ use crate::error::NnError;
 /// # Ok(())
 /// # }
 /// ```
-pub trait Layer: Send {
+///
+/// Every layer is clonable through [`LayerClone`], so a boxed chain of
+/// layers — and with it a whole [`crate::Model`] — can be copied.
+pub trait Layer: Send + LayerClone {
     /// Computes the layer output for a batch.
     ///
     /// `train` selects training-mode behaviour (e.g. batch statistics in
@@ -71,10 +74,30 @@ pub trait Layer: Send {
     }
 }
 
+/// Boxed cloning for [`Layer`] trait objects, implemented for every
+/// `Clone` layer by a blanket impl. A clone copies the layer's
+/// parameters, gradients, running statistics and random stream.
+pub trait LayerClone {
+    /// Clones `self` into a new boxed layer.
+    fn clone_box(&self) -> Box<dyn Layer>;
+}
+
+impl<L: Layer + Clone + 'static> LayerClone for L {
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Layer> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
 /// Reshapes an NCHW activation batch to `(N, C·H·W)` for a dense head.
 ///
 /// The layer is parameter-free; backward restores the cached input shape.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Flatten {
     cached_dims: Option<Vec<usize>>,
 }

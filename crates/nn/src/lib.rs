@@ -71,7 +71,7 @@ pub use data::{Dataset, ShardSpec, SyntheticSpec};
 pub use dense::Dense;
 pub use dropout::Dropout;
 pub use error::NnError;
-pub use layer::{Flatten, Layer};
+pub use layer::{Flatten, Layer, LayerClone};
 pub use loader::Loader;
 pub use loss::softmax_cross_entropy;
 pub use model::{Metrics, Model};

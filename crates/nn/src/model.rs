@@ -23,6 +23,9 @@ pub struct Metrics {
 /// importantly — *flat parameter vector* access, the unit of communication
 /// in HADFL, FedAvg, and all-reduce alike.
 ///
+/// A clone is a full copy: parameters, batch-norm running statistics and
+/// dropout streams, so it trains exactly as the original would.
+///
 /// # Example
 ///
 /// ```
@@ -36,7 +39,7 @@ pub struct Metrics {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Model {
     net: Sequential,
     num_classes: usize,

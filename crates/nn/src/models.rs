@@ -438,6 +438,87 @@ mod tests {
         assert!(loss.is_finite());
     }
 
+    const ZOO: [&str; 4] = ["mlp", "resnet18_lite", "vgg16_lite", "vgg16_lite_dropout"];
+
+    fn param_bits(m: &Model) -> Vec<u32> {
+        m.param_vector().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// An eval-mode forward over `ds`, as bits: reads the batch-norm
+    /// running statistics as well as the parameters.
+    fn eval_bits(m: &mut Model, ds: &Dataset) -> (u32, u32) {
+        let metrics = m.evaluate(ds, 8).unwrap();
+        (metrics.loss.to_bits(), metrics.accuracy.to_bits())
+    }
+
+    fn step(m: &mut Model, x: &hadfl_tensor::Tensor, y: &[usize]) -> u32 {
+        let mut opt = Sgd::new(LrSchedule::constant(0.05), 0.9);
+        m.train_step(x, y, &mut opt).unwrap().to_bits()
+    }
+
+    #[test]
+    fn clone_equals_a_fresh_build_of_every_zoo_model() {
+        let spec = SyntheticSpec::tiny();
+        let ds = Dataset::synthetic_cifar(24, &spec, 3).unwrap();
+        let (x, y) = ds.batch(&(0..12).collect::<Vec<_>>()).unwrap();
+        for name in ZOO {
+            let build = || by_name(name, &spec.sample_dims(), spec.classes, 5).unwrap();
+            let original = build();
+            let mut clone = original.clone();
+            let mut fresh = build();
+            assert_eq!(param_bits(&clone), param_bits(&fresh), "{name}");
+            assert_eq!(
+                eval_bits(&mut clone, &ds),
+                eval_bits(&mut fresh, &ds),
+                "{name}"
+            );
+
+            // One step draws from the dropout stream and moves the
+            // batch-norm statistics: both must match the fresh model's.
+            assert_eq!(step(&mut clone, &x, &y), step(&mut fresh, &x, &y), "{name}");
+            assert_eq!(param_bits(&clone), param_bits(&fresh), "{name}");
+            assert_eq!(
+                eval_bits(&mut clone, &ds),
+                eval_bits(&mut fresh, &ds),
+                "{name}"
+            );
+
+            // Training the clone left the original as built.
+            let mut original = original;
+            let mut pristine = build();
+            assert_eq!(param_bits(&original), param_bits(&pristine), "{name}");
+            assert_eq!(
+                eval_bits(&mut original, &ds),
+                eval_bits(&mut pristine, &ds),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn clone_of_a_trained_model_carries_its_statistics_and_dropout_stream() {
+        let spec = SyntheticSpec::tiny();
+        let ds = Dataset::synthetic_cifar(24, &spec, 4).unwrap();
+        let (x, y) = ds.batch(&(0..12).collect::<Vec<_>>()).unwrap();
+        for name in ZOO {
+            let mut trained = by_name(name, &spec.sample_dims(), spec.classes, 6).unwrap();
+            step(&mut trained, &x, &y);
+            let mut clone = trained.clone();
+            assert_eq!(param_bits(&clone), param_bits(&trained), "{name}");
+            assert_eq!(
+                eval_bits(&mut clone, &ds),
+                eval_bits(&mut trained, &ds),
+                "{name}"
+            );
+            assert_eq!(
+                step(&mut clone, &x, &y),
+                step(&mut trained, &x, &y),
+                "{name}"
+            );
+            assert_eq!(param_bits(&clone), param_bits(&trained), "{name}");
+        }
+    }
+
     #[test]
     fn resnet_has_more_structure_than_mlp_head() {
         let m = resnet18_lite(&[3, 8, 8], 10, 0).unwrap();

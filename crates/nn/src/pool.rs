@@ -21,7 +21,7 @@ use crate::layer::Layer;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MaxPool2d {
     window: usize,
     stride: usize,
@@ -143,7 +143,7 @@ impl Layer for MaxPool2d {
 /// producing `(N, C)`.
 ///
 /// Used as the head of `resnet18_lite` in place of ResNet's final pooling.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct GlobalAvgPool2d {
     cached_in_dims: Vec<usize>,
 }

@@ -25,7 +25,7 @@ use crate::sequential::Sequential;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Residual {
     body: Sequential,
 }

@@ -26,7 +26,7 @@ use crate::layer::Layer;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
 }

@@ -146,6 +146,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let coordinator_port = ports.remove(k);
     let stats = coordinator_port.stats_handle();
     let built = workload.build(k)?;
+    let test = built.test;
 
     let run = thread::scope(|scope| {
         for (i, (port, rt)) in ports.drain(..).zip(built.runtimes).enumerate() {
@@ -184,7 +185,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.round, r.versions, r.selected
         );
     }
-    let metrics = workload.build(k)?.evaluate_params(&run.consensus()?)?;
+    let metrics = workload.evaluate_consensus(&test, &run.consensus()?)?;
     println!("consensus test accuracy: {:.1}%", metrics.accuracy * 100.0);
 
     // The coordinator's ledger counts exactly the encoded protocol
